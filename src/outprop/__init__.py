@@ -26,6 +26,7 @@ from .density import (
     StepCDF,
     categorical_pmf,
     density_cdf,
+    density_curve,
     fit_categorical,
     fit_numeric,
     global_bandwidth,
@@ -65,6 +66,7 @@ __all__ = [
     "StepCDF",
     "categorical_pmf",
     "density_cdf",
+    "density_curve",
     "em_fit",
     "explain_one",
     "fit_categorical",

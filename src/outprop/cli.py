@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Condition, Dataset, Explanation, parse_csv, read_schema_file
+from .dataset import Condition, Dataset, Explanation, parse_csv, read_schema_file, select
+from .density import density_curve
 from .errors import Error
 from .intervals import EMConfig
 from .miner import MiningConfig, MiningResult, explain_one, mine
@@ -33,8 +34,10 @@ REPORT_VERSION = 1
 _USAGE_EXIT = 2
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("OUTPROP_SEED", "0"))
+def _default_seed() -> str:
+    # a string default goes through the option's type check, so a malformed
+    # $OUTPROP_SEED is a usage error like a malformed --seed
+    return os.environ.get("OUTPROP_SEED", "0")
 
 
 @dataclass(eq=False)
@@ -126,8 +129,9 @@ def _write_curves(db: Dataset, result: MiningResult, directory: str) -> None:
     os.makedirs(directory, exist_ok=True)
     for i, pair in enumerate(result.pairs):
         path = os.path.join(directory, f"pair_{i:03d}_{_safe_name(pair.property.name)}.tsv")
+        curve = density_curve(select(db, pair.explanation), pair.property)
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(pair.score.curve.to_tsv())
+            fh.write(curve.to_tsv())
 
 
 def _cmd_mine(args) -> int:
@@ -211,8 +215,9 @@ def _cmd_score(args, parser: argparse.ArgumentParser) -> int:
     print(f"score: {evaluation.score.value!r}")
     print(f"accepted: {'true' if evaluation.accepted else 'false'}")
     if args.curve:
+        curve = density_curve(select(db, explanation), prop)
         with open(args.curve, "w", encoding="utf-8") as fh:
-            fh.write(evaluation.score.curve.to_tsv())
+            fh.write(curve.to_tsv())
     return 0
 
 
@@ -257,6 +262,20 @@ def build_parser() -> argparse.ArgumentParser:
             raise argparse.ArgumentTypeError("must be a positive integer")
         return value
 
+    def non_negative_float(text):
+        value = float(text)
+        if not value >= 0.0:
+            raise argparse.ArgumentTypeError("must be a non-negative number")
+        return value
+
+    def seed(text):
+        try:
+            return int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"seed must be an integer, got {text!r} (from --seed or $OUTPROP_SEED)"
+            ) from None
+
     def even_size(text):
         value = int(text)
         if value < 4 or value % 2:
@@ -272,8 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_mine = sub.add_parser("mine", parents=[common], help="search for all minimal pairs")
     p_mine.add_argument("--omega", type=bounded_float("omega", 0.0, 1.0), required=True, help="minimum outlierness score")
     p_mine.add_argument("--kmax", type=positive_int, default=3, help="largest explanation size (default 3)")
-    p_mine.add_argument("--seed", type=int, default=_default_seed(), help="seed for interval discovery (default $OUTPROP_SEED or 0)")
-    p_mine.add_argument("--annihilation", type=float, default=1.0, help="component pruning threshold (default 1.0)")
+    p_mine.add_argument("--seed", type=seed, default=_default_seed(), help="seed for interval discovery (default $OUTPROP_SEED or 0)")
+    p_mine.add_argument("--annihilation", type=non_negative_float, default=1.0, help="component pruning threshold (default 1.0)")
     p_mine.add_argument("--out", help="write the report here instead of stdout")
     p_mine.add_argument("--curves", help="directory for per-pair density cdf TSV files")
     p_mine.add_argument("--tsv", action="store_true", help="tabular report instead of JSON records")
@@ -290,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen-unif2", help="generate the two-cluster benchmark CSV")
     p_gen.add_argument("--out", required=True, help="output CSV path")
     p_gen.add_argument("--size", type=even_size, default=20000, help="row count, even, >= 4 (default 20000)")
-    p_gen.add_argument("--seed", type=int, default=_default_seed(), help="generator seed (default $OUTPROP_SEED or 0)")
+    p_gen.add_argument("--seed", type=seed, default=_default_seed(), help="generator seed (default $OUTPROP_SEED or 0)")
     p_gen.add_argument("--aux", type=positive_int, default=1, help="number of uniform noise attributes (default 1)")
     p_gen.set_defaults(func=lambda a: _cmd_gen_unif2(a))
 

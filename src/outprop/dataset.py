@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator
 
@@ -126,6 +127,9 @@ class Dataset:
 
     Numeric columns are float64 arrays of finite values; categorical columns
     are object arrays of tokens. Rows are a multiset: duplicates are kept.
+    Each categorical column is also held as integer codes into a vocabulary
+    of its distinct tokens, numbered in order of first appearance, so
+    equality masks and token counts run on integers.
     """
 
     def __init__(self, schema: Iterable[Attribute], columns: Iterable[np.ndarray]):
@@ -151,6 +155,12 @@ class Dataset:
                 if not np.all(np.isfinite(col)):
                     raise SchemaError(f"numeric column {a.name!r} holds non-finite values")
         self._by_name = {a.name: a for a in self.schema}
+        encoded = [
+            _encode(col) if a.kind == CATEGORICAL else (None, None)
+            for a, col in zip(self.schema, self.columns)
+        ]
+        self._vocabularies: tuple[dict | None, ...] = tuple(v for v, _ in encoded)
+        self.codes: tuple[np.ndarray | None, ...] = tuple(c for _, c in encoded)
 
     @classmethod
     def from_arrays(cls, names, kinds, columns) -> "Dataset":
@@ -180,6 +190,10 @@ class Dataset:
         except KeyError:
             raise SchemaError(f"no attribute named {name!r}") from None
 
+    def code(self, attribute_index: int, token) -> int:
+        """Integer code of a categorical token; -1 for a token not in the column."""
+        return self._vocabularies[attribute_index].get(token, -1)
+
     def row(self, index: int) -> DataObject:
         if not 0 <= index < self._n:
             raise IndexError(f"row index {index} out of range for {self._n} rows")
@@ -188,6 +202,15 @@ class Dataset:
             for a, col in zip(self.schema, self.columns)
         )
         return DataObject(values=values, schema=self.schema)
+
+
+def _encode(col: np.ndarray) -> tuple[dict, np.ndarray]:
+    """Vocabulary (token -> code, by first appearance) and per-row codes."""
+    vocabulary: dict = {}
+    codes = np.fromiter(
+        (vocabulary.setdefault(v, len(vocabulary)) for v in col), dtype=np.intp, count=len(col)
+    )
+    return vocabulary, codes
 
 
 @dataclass(frozen=True)
@@ -203,6 +226,10 @@ class SelectionView:
 
     def column(self, attribute_index: int) -> np.ndarray:
         return self.base.columns[attribute_index][self.indices]
+
+    def codes(self, attribute_index: int) -> np.ndarray:
+        """Integer codes of the selected rows on a categorical attribute."""
+        return self.base.codes[attribute_index][self.indices]
 
     @property
     def fraction(self) -> float:
@@ -233,16 +260,20 @@ def satisfies(o: DataObject, explanation: Explanation) -> bool:
     return True
 
 
+def condition_mask(db: Dataset, condition: Condition) -> np.ndarray:
+    """Boolean mask of the rows of db that satisfy one condition."""
+    attr = _check_condition(condition, db.schema)
+    if condition.is_interval:
+        col = db.columns[attr.index]
+        return (col >= condition.lower) & (col <= condition.upper)
+    return db.codes[attr.index] == db.code(attr.index, condition.value)
+
+
 def select(db: Dataset, explanation: Explanation) -> SelectionView:
     """Rows of db satisfying the explanation, in original order."""
     mask = np.ones(db.n_rows, dtype=bool)
     for condition in explanation:
-        attr = _check_condition(condition, db.schema)
-        col = db.columns[attr.index]
-        if condition.is_interval:
-            mask &= (col >= condition.lower) & (col <= condition.upper)
-        else:
-            mask &= col == condition.value
+        mask &= condition_mask(db, condition)
     return SelectionView(base=db, indices=np.nonzero(mask)[0], explanation=explanation)
 
 
@@ -251,11 +282,27 @@ def support(db: Dataset, explanation: Explanation) -> float:
     return select(db, explanation).fraction
 
 
-def _parse_cell(token: str) -> float | None:
-    try:
-        return float(token)
-    except ValueError:
-        return None
+# A plain decimal or exponent literal in ASCII digits, or an inf/nan word
+# (those parse, and are then rejected as non-finite). float() also takes
+# padding, digit-group underscores and non-ASCII digits; this does not.
+_NUMBER = re.compile(
+    r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf(?:inity)?|nan)",
+    re.IGNORECASE,
+)
+_PADDING_OR_GROUPING = re.compile(r"[\s_]")
+
+
+def _parse_cells(tokens: list[str]) -> list[float | None]:
+    """Each token as a float, or None where it is not a number literal."""
+    # fast path: an ASCII token without padding or underscores that float()
+    # accepts is exactly a _NUMBER literal
+    joined = "".join(tokens)
+    if joined.isascii() and not _PADDING_OR_GROUPING.search(joined):
+        try:
+            return list(map(float, tokens))
+        except ValueError:
+            pass
+    return [float(t) if m else None for t, m in zip(tokens, map(_NUMBER.fullmatch, tokens))]
 
 
 def read_schema_file(path: str) -> dict[str, str]:
@@ -329,7 +376,7 @@ def parse_csv(source: str | IO[str], hint: dict[str, str] | None = None) -> Data
     kinds: list[str] = []
     for j, name in enumerate(header):
         tokens = [row[j] for row in cells]
-        parsed = [_parse_cell(t) for t in tokens]
+        parsed = _parse_cells(tokens)
         wanted = hint.get(name) if hint else None
         if wanted is None:
             wanted = NUMERIC if all(v is not None for v in parsed) else CATEGORICAL

@@ -6,8 +6,10 @@ is closed on both ends and h follows the usual normal-reference rule. Lookup
 is O(log n) against a sorted copy of the sample. Categorical columns use the
 relative frequency of each token.
 
-The cdf of the per-object density values is an exact step function; it is
-what the outlierness score integrates against.
+The cdf of the per-object density values is an exact step function. The
+outlierness score needs only the mean of those values, so the cdf is built
+only when asked for (``density_curve``); its exact areas remain the
+reference the score's closed form is checked against.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dataset import NUMERIC, Attribute, SelectionView
 from .errors import (
     DegenerateDensityError,
     EmptySampleError,
@@ -93,18 +96,16 @@ def fit_categorical(values) -> DensityModel:
     return model
 
 
+def window_counts(sorted_xs: np.ndarray, queries, h: float):
+    """Sample points within h/2 of each query, both ends of the window closed."""
+    half = h / 2.0
+    hi = np.searchsorted(sorted_xs, queries + half, side="right")
+    return hi - np.searchsorted(sorted_xs, queries - half, side="left")
+
+
 def parzen_density(model: DensityModel, x: float) -> float:
     """Density of the fitted numeric model at x."""
-    if model.kind != PARZEN:
-        raise InternalError("parzen_density called on a categorical model")
-    h = model.bandwidth
-    if h == DEGENERATE_BANDWIDTH:
-        raise DegenerateDensityError("density query against a constant sample")
-    sv = model.sorted_values
-    half = h / 2.0
-    lo = np.searchsorted(sv, x - half, side="left")
-    hi = np.searchsorted(sv, x + half, side="right")
-    return float(hi - lo) / (sv.size * h)
+    return float(parzen_densities(model, x))
 
 
 def parzen_densities(model: DensityModel, xs: np.ndarray) -> np.ndarray:
@@ -115,11 +116,7 @@ def parzen_densities(model: DensityModel, xs: np.ndarray) -> np.ndarray:
     if h == DEGENERATE_BANDWIDTH:
         raise DegenerateDensityError("density query against a constant sample")
     sv = model.sorted_values
-    xs = np.asarray(xs, dtype=np.float64)
-    half = h / 2.0
-    lo = np.searchsorted(sv, xs - half, side="left")
-    hi = np.searchsorted(sv, xs + half, side="right")
-    return (hi - lo) / (sv.size * h)
+    return window_counts(sv, np.asarray(xs, dtype=np.float64), h) / (sv.size * h)
 
 
 def categorical_pmf(model: DensityModel, value) -> float:
@@ -127,10 +124,6 @@ def categorical_pmf(model: DensityModel, value) -> float:
     if model.kind != CATEGORICAL:
         raise InternalError("categorical_pmf called on a numeric model")
     return float(model.frequencies.get(value, 0.0))
-
-
-def categorical_pmfs(model: DensityModel, values) -> np.ndarray:
-    return np.array([categorical_pmf(model, v) for v in values], dtype=np.float64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,3 +190,20 @@ def density_cdf(densities: np.ndarray) -> StepCDF:
     breakpoints, counts = np.unique(densities, return_counts=True)
     cumulative = np.cumsum(counts) / densities.size
     return StepCDF(breakpoints=breakpoints, cumulative=cumulative)
+
+
+def density_curve(view: SelectionView, attribute: Attribute) -> StepCDF:
+    """Step cdf of the selected rows' densities on one attribute.
+
+    Every row of a column with a single distinct value gets density 1, the
+    same convention under which such a column scores exactly 0.
+    """
+    n = len(view)
+    if attribute.kind == NUMERIC:
+        col = view.column(attribute.index)
+        h = global_bandwidth(col)
+        if h == DEGENERATE_BANDWIDTH:
+            return density_cdf(np.ones(n))
+        return density_cdf(window_counts(np.sort(col), col, h) / (n * h))
+    codes = view.codes(attribute.index)
+    return density_cdf(np.bincount(codes)[codes] / n)

@@ -26,6 +26,8 @@ from .dataset import (
     DataObject,
     Explanation,
     SelectionView,
+    condition_mask,
+    select,
 )
 from .errors import ConfigError
 from .intervals import EMConfig, em_fit, natural_condition_categorical, natural_interval
@@ -152,13 +154,6 @@ def natural_conditions(
     return conditions, reports
 
 
-def _condition_mask(db: Dataset, condition: Condition) -> np.ndarray:
-    col = db.columns[condition.attribute]
-    if condition.is_interval:
-        return (col >= condition.lower) & (col <= condition.upper)
-    return col == condition.value
-
-
 def _view(db: Dataset, mask: np.ndarray, explanation: Explanation) -> SelectionView:
     return SelectionView(base=db, indices=np.nonzero(mask)[0], explanation=explanation)
 
@@ -182,7 +177,7 @@ def mine(db: Dataset, cfg: MiningConfig) -> MiningResult:
     o = _check_config(db, cfg)
     t0 = time.perf_counter()
     conditions, reports = natural_conditions(db, cfg)
-    masks = {i: _condition_mask(db, c) for i, c in conditions.items()}
+    masks = {i: condition_mask(db, c) for i, c in conditions.items()}
     condition_seconds = time.perf_counter() - t0
 
     n = db.n_rows
@@ -279,12 +274,10 @@ def explain_one(
         raise ConfigError(f"no attribute at index {property_index}")
     if property_index in explanation.attributes:
         raise ConfigError("the property may not appear in the explanation")
-    mask = np.ones(db.n_rows, dtype=bool)
-    for condition in explanation:
-        mask &= _condition_mask(db, condition)
-    sup = float(mask.sum()) / db.n_rows
+    view = select(db, explanation)
+    sup = view.fraction
     prop = db.schema[property_index]
-    score = outlierness(_view(db, mask, explanation), prop, o)
+    score = outlierness(view, prop, o)
     accepted = sup >= cfg.min_support and score.value >= cfg.min_score
     return PairEvaluation(
         explanation=explanation, property=prop, support=sup, score=score, accepted=accepted

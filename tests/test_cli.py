@@ -221,6 +221,17 @@ def test_out_of_range_threshold_is_a_usage_error(tmp_path):
     assert err.value.code == 2
 
 
+def test_negative_annihilation_is_a_usage_error(tmp_path, capsys):
+    data = gen_benchmark(tmp_path, size=60)
+    with pytest.raises(SystemExit) as err:
+        run([
+            "mine", "--data", str(data), "--outlier", "59", "--omega", "0.5",
+            "--annihilation", "-1",
+        ])
+    assert err.value.code == 2
+    assert "--annihilation" in capsys.readouterr().err
+
+
 def test_runtime_errors_exit_one(tmp_path, capsys):
     assert run([
         "mine", "--data", str(tmp_path / "missing.csv"), "--outlier", "0", "--omega", "0.5",
@@ -273,3 +284,14 @@ def test_seed_env_variable_sets_the_default(monkeypatch):
     monkeypatch.delenv("OUTPROP_SEED")
     args = build_parser().parse_args(["mine", "--data", "d.csv", "--outlier", "0", "--omega", "0.5"])
     assert args.seed == 0
+
+
+def test_malformed_seed_env_variable_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("OUTPROP_SEED", "abc")
+    mine_args = ["mine", "--data", "d.csv", "--outlier", "0", "--omega", "0.5"]
+    with pytest.raises(SystemExit) as err:
+        run(mine_args)
+    assert err.value.code == 2
+    assert "OUTPROP_SEED" in capsys.readouterr().err
+    # an explicit --seed does not read the environment
+    assert build_parser().parse_args(mine_args + ["--seed", "5"]).seed == 5

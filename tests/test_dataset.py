@@ -20,6 +20,7 @@ from outprop import (
     select,
     support,
 )
+from outprop.dataset import _NUMBER, _parse_cells
 from outprop.errors import MissingValueError, ParseError, SchemaError
 
 CSV = "x,label,y\n1.5,on,0.25\n2.5,off,0.5\n9.0,on,0.75\n"
@@ -69,6 +70,25 @@ def test_parse_rejects_non_finite_numeric():
         parse_csv("x\n1.0\nnan\n")
     with pytest.raises(ParseError):
         parse_csv("x\ninf\n2.0\n")
+
+
+def test_parse_accepts_only_plain_number_literals():
+    db = parse_csv('grouped,padded,plain\n1_000," 2 ",+.5e-3\n3,4,7.\n')
+    assert [a.kind for a in db.schema] == [CATEGORICAL, CATEGORICAL, NUMERIC]
+    assert db.columns[0][0] == "1_000"
+    assert db.columns[1][0] == " 2 "
+    np.testing.assert_array_equal(db.columns[2], [0.0005, 7.0])
+    for text, column in (("x,y\n1,2\n3,4_0\n", "y"), ("x,y\n1,2\n3, 4\n", "y")):
+        with pytest.raises(ParseError) as err:
+            parse_csv(text, hint={column: NUMERIC})
+        assert (err.value.row, err.value.column) == (1, column)
+
+
+@given(st.lists(st.text(alphabet="019.eE+-_ \u0663infINa", min_size=1, max_size=6), min_size=1, max_size=5))
+@settings(max_examples=300, deadline=None)
+def test_whole_column_number_parse_agrees_with_the_literal_pattern(tokens):
+    expected = [float(t) if _NUMBER.fullmatch(t) else None for t in tokens]
+    assert list(map(repr, _parse_cells(tokens))) == list(map(repr, expected))
 
 
 def test_parse_rejects_empty_and_header_only():
@@ -212,6 +232,7 @@ def test_select_can_be_empty():
     view = select(db, Explanation.of(Condition.interval(0, 100.0, 200.0)))
     assert len(view) == 0
     assert support(db, view.explanation) == 0.0
+    assert len(select(db, Explanation.of(Condition.equality(1, "absent")))) == 0
 
 
 @given(

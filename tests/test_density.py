@@ -13,7 +13,6 @@ from outprop.density import (
     DensityModel,
     StepCDF,
     categorical_pmf,
-    categorical_pmfs,
     parzen_densities,
 )
 from outprop.errors import DegenerateDensityError, EmptySampleError, InternalError
@@ -107,7 +106,6 @@ def test_categorical_pmf():
     assert categorical_pmf(m, "a") == 0.75
     assert categorical_pmf(m, "b") == 0.25
     assert categorical_pmf(m, "zzz") == 0.0
-    np.testing.assert_array_equal(categorical_pmfs(m, ["a", "b"]), [0.75, 0.25])
     assert m.n == 4
 
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from outprop import (
     CATEGORICAL,
@@ -11,6 +13,7 @@ from outprop import (
     Condition,
     Dataset,
     Explanation,
+    density_curve,
     omega,
     outlierness,
     select,
@@ -47,14 +50,59 @@ def test_omega_monotone_and_bounded():
 def test_score_fields_are_consistent():
     rng = np.random.default_rng(2)
     db = one_column(rng.normal(0.0, 0.05, 60))
-    score = outlierness(full_view(db), db.schema[0], db.row(7))
+    view = full_view(db)
+    score = outlierness(view, db.schema[0], db.row(7))
+    curve = density_curve(view, db.schema[0])
+    above = curve.area_above(score.query_density)
+    below = curve.area_below(score.query_density)
     assert score.value == omega(score.raw)
-    assert score.raw == score.area_above - score.area_below
-    assert score.area_above >= 0.0
-    assert score.area_below >= 0.0
+    # raw is the closed form, the areas are step sums: equal up to rounding
+    assert abs(score.raw - (above - below)) <= 1e-12 * max(1.0, above)
+    assert above >= 0.0
+    assert below >= 0.0
     assert 0.0 <= score.value <= 1.0
     assert float(score) == score.value
-    assert score.curve.cumulative[-1] == 1.0
+    assert curve.cumulative[-1] == 1.0
+
+
+# property kinds the closed form distinguishes; values on a 0.1 grid give
+# ties and tight clusters as well as spread-out samples
+_TENTHS = st.integers(-30, 30).map(lambda k: k / 10)
+_PROPERTY_COLUMNS = {
+    "numeric": lambda n: st.lists(_TENTHS, min_size=n, max_size=n),
+    "categorical": lambda n: st.lists(st.sampled_from("abcd"), min_size=n, max_size=n),
+    "constant": lambda n: _TENTHS.map(lambda v: [v] * n),
+}
+
+
+@given(kind=st.sampled_from(sorted(_PROPERTY_COLUMNS)), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_closed_form_raw_matches_curve_area_difference(kind, data):
+    n = data.draw(st.integers(1, 40), label="n")
+    prop = data.draw(_PROPERTY_COLUMNS[kind](n), label="property")
+    token = data.draw(st.lists(st.sampled_from("xy"), min_size=n, max_size=n), label="token")
+    level = data.draw(st.lists(_TENTHS, min_size=n, max_size=n), label="level")
+    db = Dataset.from_arrays(
+        ["p", "t", "l"],
+        [CATEGORICAL if kind == "categorical" else NUMERIC, CATEGORICAL, NUMERIC],
+        [prop, token, level],
+    )
+    r = data.draw(st.integers(0, n - 1), label="row")
+    o = db.row(r)
+    conditions = []
+    if data.draw(st.booleans(), label="condition on t"):
+        conditions.append(Condition.equality(1, o[1]))
+    if data.draw(st.booleans(), label="condition on l"):
+        width = data.draw(st.integers(0, 20), label="width") / 10
+        conditions.append(Condition.interval(2, o[2] - width, o[2] + width))
+    view = select(db, Explanation.of(*conditions))
+    score = outlierness(view, db.schema[0], o)
+    curve = density_curve(view, db.schema[0])
+    gap = curve.area_above(score.query_density) - curve.area_below(score.query_density)
+    # each area sums at most n step segments, none wider than the largest density
+    assert abs(score.raw - gap) <= 1e-12 * max(1.0, curve.max_density)
+    if kind == "constant":
+        assert score.raw == 0.0
 
 
 def test_raw_equals_mean_density_minus_query_density():
