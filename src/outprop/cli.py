@@ -72,6 +72,8 @@ class RunReport:
                         "components": r.components,
                         "log_likelihood": r.log_likelihood,
                         "fell_back": r.fell_back,
+                        "stop_reason": r.stop_reason,
+                        "location_spread": r.location_spread,
                     }
                     for r in self.result.interval_reports
                 ],

@@ -36,19 +36,17 @@ DEGENERATE_BANDWIDTH = 0.0
 def global_bandwidth(xs: np.ndarray) -> float:
     """Window width for a numeric sample: 1.06 * std * n**(-1/5).
 
-    The standard deviation is the sample one (n - 1 denominator) and is
-    defined as 0 for a single observation, so constant and single-value
-    samples yield the degenerate bandwidth 0.0.
+    The standard deviation is the sample one (n - 1 denominator). A sample
+    with a single distinct value yields the degenerate bandwidth 0.0; it is
+    tested directly, because the std of identical floats can round to a
+    tiny nonzero value.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.size == 0:
         raise EmptySampleError("bandwidth of an empty sample")
-    if xs.size == 1:
+    if xs.min() == xs.max():
         return DEGENERATE_BANDWIDTH
-    std = float(np.std(xs, ddof=1))
-    if std == 0.0:
-        return DEGENERATE_BANDWIDTH
-    return 1.06 * std * xs.size ** (-0.2)
+    return 1.06 * float(np.std(xs, ddof=1)) * xs.size ** (-0.2)
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,6 +6,18 @@ responsibility falls below a threshold. Each row is then assigned to its
 highest-responsibility component, and the natural interval of a value is
 the [min, max] span of the rows sharing its component. Categorical columns
 skip all of this: the natural condition is equality with the value.
+
+One EM iteration works in two n x k buffers allocated once per fit: the
+responsibilities and a scratch matrix. The M-step writes the squared
+deviations (x - m)^2 into the scratch matrix and takes the variances from
+it; the E-step then turns that same matrix, in place, into the log joint
+log w - log b - (x - m)^2 / (2 b^2) - log(2 pi) / 2 and row-normalizes it
+by a max-shift log-sum-exp: subtract each row's peak, exponentiate, divide
+by the row sum. The log-likelihood is the sum of the logs of the row sums
+plus the sum of the peaks. The peak term is exp(0) = 1, so a row whose
+every joint underflows in linear space still normalizes to finite values.
+The two buffers then swap roles for the next iteration. The weighted sums
+are single-threaded einsum reductions, not BLAS products.
 """
 
 from __future__ import annotations
@@ -16,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .dataset import Attribute, Condition, DataObject
 from .errors import ConfigError, DegenerateSampleError, PreconditionError
@@ -59,7 +70,11 @@ class EMConfig:
 
 @dataclass(frozen=True, eq=False)
 class MixtureState:
-    """Fitted mixture: active components plus per-row responsibilities."""
+    """Fitted mixture: active components plus per-row responsibilities.
+
+    ``stop_reason`` says why the iterations ended: "tol" (converged),
+    "max_iter" (hit the cap) or "fallback" (every component annihilated).
+    """
 
     locations: np.ndarray = field(repr=False)
     bandwidths: np.ndarray = field(repr=False)
@@ -67,24 +82,44 @@ class MixtureState:
     responsibilities: np.ndarray = field(repr=False)
     iterations: int
     log_likelihood: float
-    fell_back: bool = False
+    stop_reason: str
 
     @property
     def components(self) -> int:
         return int(self.weights.size)
 
+    @property
+    def fell_back(self) -> bool:
+        return self.stop_reason == "fallback"
 
-def _responsibilities(x, locations, bandwidths, weights):
-    # log of w_j * N(x_i; m_j, b_j^2), row-normalized in log space
-    z = (x[:, None] - locations[None, :]) / bandwidths[None, :]
-    log_joint = (
-        np.log(weights)[None, :]
-        - np.log(bandwidths)[None, :]
-        - 0.5 * (z * z + _LOG_2PI)
-    )
-    log_norm = logsumexp(log_joint, axis=1)
-    gamma = np.exp(log_joint - log_norm[:, None])
-    return gamma, float(np.sum(log_norm))
+    @property
+    def location_spread(self) -> float:
+        """Largest minus smallest component location; 0 for one component."""
+        return float(self.locations.max() - self.locations.min())
+
+
+def _squared_deviations(x, locations, out=None):
+    out = np.subtract(x[:, None], locations, out=out)
+    return np.square(out, out=out)
+
+
+def _responsibilities(x, locations, bandwidths, weights, sq_dev=None):
+    """Row-normalized w_j * N(x_i; m_j, b_j^2) and the log-likelihood.
+
+    ``sq_dev`` holds (x_i - m_j)^2 and is overwritten with the
+    responsibilities, which are returned; without it a new matrix is made.
+    """
+    if sq_dev is None:
+        sq_dev = _squared_deviations(x, locations)
+    gamma = sq_dev
+    gamma *= -0.5 / (bandwidths * bandwidths)
+    gamma += np.log(weights) - np.log(bandwidths) - 0.5 * _LOG_2PI
+    peak = gamma.max(axis=1)
+    gamma -= peak[:, None]
+    np.exp(gamma, out=gamma)
+    norm = gamma.sum(axis=1)
+    gamma /= norm[:, None]
+    return gamma, float(np.sum(np.log(norm)) + np.sum(peak))
 
 
 def em_fit(xs: np.ndarray, cfg: EMConfig, iteration_hook: IterationHook | None = None) -> MixtureState:
@@ -127,10 +162,14 @@ def em_fit(xs: np.ndarray, cfg: EMConfig, iteration_hook: IterationHook | None =
     rng = np.random.default_rng(cfg.seed)
     gamma = rng.random((n, k0))
     gamma /= gamma.sum(axis=1, keepdims=True)
+    # the second n x k buffer; it trades places with gamma's every
+    # iteration, and the component count only shrinks, so it always fits
+    spare = np.empty(n * k0)
 
     prev_ll = None
     ll = -math.inf
     iterations = 0
+    stop_reason = "max_iter"
     for it in range(1, cfg.max_iter + 1):
         iterations = it
         mass = gamma.sum(axis=0)
@@ -147,23 +186,25 @@ def em_fit(xs: np.ndarray, cfg: EMConfig, iteration_hook: IterationHook | None =
                 iteration_hook(it, w.copy(), gamma.copy())
             return MixtureState(
                 locations=loc, bandwidths=bw, weights=w, responsibilities=gamma,
-                iterations=it, log_likelihood=ll, fell_back=True,
+                iterations=it, log_likelihood=ll, stop_reason="fallback",
             )
 
         keep = surplus > 0.0
         dropped = not bool(keep.all())
         if dropped:
-            gamma = gamma[:, keep]
             surplus = surplus[keep]
             mass = mass[keep]
+            kept = spare[: n * mass.size].reshape(n, mass.size)
+            gamma, spare = np.compress(keep, gamma, axis=1, out=kept), gamma.ravel()
         weights = surplus / surplus.sum()
 
-        locations = (gamma * x[:, None]).sum(axis=0) / mass
-        dev = x[:, None] - locations[None, :]
-        variances = (gamma * dev * dev).sum(axis=0) / mass
+        locations = np.einsum("i,ij->j", x, gamma) / mass
+        sq_dev = _squared_deviations(x, locations, out=spare[: gamma.size].reshape(gamma.shape))
+        variances = np.einsum("ij,ij->j", gamma, sq_dev) / mass
         bandwidths = np.sqrt(np.maximum(variances, var_floor))
 
-        gamma, ll = _responsibilities(x, locations, bandwidths, weights)
+        spare = gamma.ravel()
+        gamma, ll = _responsibilities(x, locations, bandwidths, weights, sq_dev)
         if iteration_hook is not None:
             iteration_hook(it, weights.copy(), gamma.copy())
 
@@ -172,12 +213,18 @@ def em_fit(xs: np.ndarray, cfg: EMConfig, iteration_hook: IterationHook | None =
             # a dip is not convergence: the pruning weight rule is not a
             # proper M-step, so the likelihood may fall; keep iterating
             if 0.0 <= rel < cfg.tol:
+                stop_reason = "tol"
                 break
         prev_ll = ll
 
+    if gamma.shape[1] < k0:
+        # gamma fills only the front of an n x k0 buffer; the state
+        # should not keep that whole buffer alive
+        gamma = gamma.copy()
     return MixtureState(
         locations=locations, bandwidths=bandwidths, weights=weights,
         responsibilities=gamma, iterations=iterations, log_likelihood=ll,
+        stop_reason=stop_reason,
     )
 
 

@@ -86,7 +86,12 @@ class IntervalReport:
     iterations: int
     components: int
     log_likelihood: float
-    fell_back: bool
+    stop_reason: str
+    location_spread: float
+
+    @property
+    def fell_back(self) -> bool:
+        return self.stop_reason == "fallback"
 
 
 @dataclass(eq=False)
@@ -148,7 +153,8 @@ def natural_conditions(
                 iterations=state.iterations,
                 components=state.components,
                 log_likelihood=state.log_likelihood,
-                fell_back=state.fell_back,
+                stop_reason=state.stop_reason,
+                location_spread=state.location_spread,
             )
         )
     return conditions, reports

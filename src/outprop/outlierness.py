@@ -99,7 +99,6 @@ def outlierness(view: SelectionView, attribute: Attribute, o: DataObject) -> Out
         code = view.base.code(attribute.index, v)
         own = int(counts[code]) if 0 <= code < counts.size else 0
         scale = n
-    # difference taken on exact integers: one rounding, and rows that all
-    # share one value score exactly 0 even when h is tiny but not 0
+    # difference taken on exact integers, so it carries a single rounding
     raw = (pairs - n * own) / (n * scale)
     return OutliernessScore(value=omega(raw), raw=raw, query_density=own / scale)

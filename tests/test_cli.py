@@ -1,10 +1,15 @@
 """Command-line interface: subcommands, exit codes, report format."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import outprop
 from outprop import Condition, Explanation, MiningConfig, explain_one, parse_csv
 from outprop.cli import build_parser, main
 
@@ -76,6 +81,10 @@ def test_mine_report_records(tmp_path):
     assert all("lower" in i and "upper" in i for i in conditions["items"])
     assert [r["attribute"] for r in conditions["intervals"]] == ["A", "u1"]
     assert conditions["intervals"][0]["seed"] == [3, 0]
+    for r in conditions["intervals"]:
+        assert r["stop_reason"] in ("tol", "max_iter", "fallback")
+        assert r["fell_back"] == (r["stop_reason"] == "fallback")
+        assert r["location_spread"] >= 0.0
     pairs = records[2:]
     assert pairs, "omega 0 must report at least the empty-explanation pairs"
     assert all(r["record"] == "pair" for r in pairs)
@@ -85,6 +94,14 @@ def test_mine_report_records(tmp_path):
     )
     scores = [r["score"] for r in pairs]
     assert scores == sorted(scores, reverse=True)
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(outprop.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, outprop.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_mine_stdout_equals_file_output(tmp_path, capsys):

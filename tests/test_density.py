@@ -33,6 +33,9 @@ def test_bandwidth_normal_reference_rule():
 def test_bandwidth_degenerate_cases():
     assert global_bandwidth(np.array([4.2])) == DEGENERATE_BANDWIDTH
     assert global_bandwidth(np.full(10, 7.0)) == DEGENERATE_BANDWIDTH
+    # the sample std of these identical floats rounds to about 1e-17, not 0
+    assert global_bandwidth(np.full(3, 0.1)) == DEGENERATE_BANDWIDTH
+    assert global_bandwidth(np.full(336, 0.7)) == DEGENERATE_BANDWIDTH
     with pytest.raises(EmptySampleError):
         global_bandwidth(np.array([]))
 

@@ -1,7 +1,11 @@
 """Self-pruning mixture fit and the natural interval of a value."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from outprop import CATEGORICAL, Dataset, EMConfig, em_fit, natural_interval
 from outprop.errors import ConfigError, DegenerateSampleError, PreconditionError
@@ -43,6 +47,8 @@ def test_fit_shape_and_invariants():
     np.testing.assert_allclose(state.responsibilities.sum(axis=1), 1.0, atol=1e-9)
     assert np.isfinite(state.log_likelihood)
     assert 1 <= state.iterations <= 500
+    assert state.stop_reason == "tol"
+    assert state.location_spread == state.locations.max() - state.locations.min()
 
 
 def test_invariants_hold_after_every_iteration():
@@ -69,6 +75,53 @@ def test_final_state_is_a_fixed_point_of_the_responsibilities():
     assert ll == state.log_likelihood
 
 
+def reference_responsibilities(x, locations, bandwidths, weights):
+    # the E-step written out plainly: scaled deviations, the log joint as a
+    # new matrix, scipy's log-sum-exp and a second exp pass
+    z = (x[:, None] - locations[None, :]) / bandwidths[None, :]
+    log_joint = (
+        np.log(weights)[None, :]
+        - np.log(bandwidths)[None, :]
+        - 0.5 * (z * z + math.log(2.0 * math.pi))
+    )
+    log_norm = logsumexp(log_joint, axis=1)
+    return np.exp(log_joint - log_norm[:, None]), float(np.sum(log_norm)), log_joint
+
+
+def test_fused_e_step_matches_the_logsumexp_reference():
+    rng = np.random.default_rng(21)
+    for _ in range(40):
+        k = int(rng.integers(1, 40))
+        locations = rng.normal(0.0, 3.0, k)
+        bandwidths = rng.uniform(0.5, 2.0, k)
+        weights = rng.dirichlet(np.ones(k))
+        x = rng.normal(0.0, 4.0, 300)
+        # far enough out that every component's joint underflows to 0
+        tails = rng.uniform(100.0, 150.0, 6) * np.array([1, -1, 1, -1, 1, -1])
+        x = np.concatenate([x, tails])
+        expected, expected_ll, log_joint = reference_responsibilities(x, locations, bandwidths, weights)
+        assert np.all(np.exp(log_joint[-6:]) == 0.0)
+        gamma, ll = _responsibilities(x, locations, bandwidths, weights)
+        np.testing.assert_allclose(gamma, expected, rtol=0.0, atol=1e-12)
+        assert ll == pytest.approx(expected_ll, rel=1e-12, abs=0.0)
+        assert np.all(np.isfinite(gamma))
+        np.testing.assert_allclose(gamma.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+
+
+def test_fit_peak_memory_is_within_three_n_by_k_matrices():
+    n = 20000
+    xs = np.random.default_rng(23).normal(0.0, 1.0, n)
+    k0 = math.isqrt(n)
+    tracemalloc.start()
+    try:
+        state = em_fit(xs, EMConfig(seed=1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert state.responsibilities.shape[0] == n
+    assert peak <= 3 * n * k0 * 8
+
+
 def test_same_seed_same_fit():
     xs = two_clusters(seed=7)
     a = em_fit(xs, EMConfig(seed=42))
@@ -89,6 +142,7 @@ def test_iteration_cap_is_respected():
     xs = two_clusters(seed=9)
     state = em_fit(xs, EMConfig(seed=1, max_iter=1))
     assert state.iterations == 1
+    assert state.stop_reason == "max_iter"
 
 
 def test_natural_interval_contains_the_value():
@@ -151,6 +205,8 @@ def test_all_components_annihilated_falls_back():
     xs = two_clusters(seed=17, n=10)
     state = em_fit(xs, EMConfig(seed=1, annihilation=1e6))
     assert state.fell_back
+    assert state.stop_reason == "fallback"
+    assert state.location_spread == 0.0
     assert state.components == 1
     np.testing.assert_array_equal(state.weights, [1.0])
     lo, hi = natural_interval(xs, float(xs[0]), state)

@@ -142,6 +142,19 @@ def test_constant_numeric_column_scores_exactly_zero():
     assert score.raw == 0.0
 
 
+@pytest.mark.parametrize("values", [[0.1] * 3, [0.7] * 336])
+def test_identical_floats_with_nonzero_rounded_std_are_constant(values):
+    assert np.std(values, ddof=1) > 0.0
+    db = one_column(values)
+    score = outlierness(full_view(db), db.schema[0], db.row(0))
+    assert score.query_density == 1.0
+    assert score.raw == 0.0
+    assert score.value == 0.0
+    curve = density_curve(full_view(db), db.schema[0])
+    np.testing.assert_array_equal(curve.breakpoints, [1.0])
+    np.testing.assert_array_equal(curve.cumulative, [1.0])
+
+
 def test_constant_categorical_column_scores_exactly_zero():
     db = one_column(["t"] * 12, kind=CATEGORICAL)
     score = outlierness(full_view(db), db.schema[0], db.row(3))
