@@ -8,6 +8,11 @@ level, starting with the empty explanation and single conditions. A subset
 that reaches both thresholds is reported and never extended, so only
 minimal explanations are kept; a subset below the support threshold is
 dropped together with all its supersets.
+
+Each level of one property is scored in one call from the candidates' row
+masks (``outlierness._score_masks``); an ``Explanation`` is built only for a
+reported pair. ``outlierness`` on a selection stays the checked reference
+path, used by ``explain_one``.
 """
 
 from __future__ import annotations
@@ -25,13 +30,12 @@ from .dataset import (
     Dataset,
     DataObject,
     Explanation,
-    SelectionView,
     condition_mask,
     select,
 )
 from .errors import ConfigError
 from .intervals import EMConfig, em_fit, natural_condition_categorical, natural_interval
-from .outlierness import OutliernessScore, outlierness
+from .outlierness import OutliernessScore, _score_masks, omega, outlierness
 
 
 @dataclass(frozen=True)
@@ -160,8 +164,46 @@ def natural_conditions(
     return conditions, reports
 
 
-def _view(db: Dataset, mask: np.ndarray, explanation: Explanation) -> SelectionView:
-    return SelectionView(base=db, indices=np.nonzero(mask)[0], explanation=explanation)
+def _next_level(
+    frontier: list[tuple[tuple[int, ...], np.ndarray]],
+    vocabulary: list[int],
+    masks: dict[int, np.ndarray],
+    min_support: float,
+) -> list[tuple[tuple[int, ...], np.ndarray, float]]:
+    """Candidates one condition larger than the frontier's, with their support.
+
+    Single conditions extend the empty explanation. Larger candidates come
+    from joining two frontier keys that share all but their last index, and
+    are kept only when every subset one smaller is in the frontier (the
+    Apriori rule), so no candidate contains a reported or unsupported set.
+    Candidates below the support threshold are dropped. Keys are generated,
+    and so kept, in sorted order.
+    """
+    n = len(frontier[0][1])
+    if frontier[0][0] == ():
+        joined = [((i,), masks[i]) for i in vocabulary]
+    else:
+        frontier_keys = {key for key, _ in frontier}
+        joined = []
+        for a in range(len(frontier)):
+            key_a, mask_a = frontier[a]
+            for b in range(a + 1, len(frontier)):
+                key_b = frontier[b][0]
+                if key_a[:-1] != key_b[:-1]:
+                    break  # sorted keys: the keys sharing a prefix are one run
+                candidate = key_a + key_b[-1:]
+                # dropping either of the last two indices gives key_a or key_b
+                if all(
+                    candidate[:r] + candidate[r + 1 :] in frontier_keys
+                    for r in range(len(candidate) - 2)
+                ):
+                    joined.append((candidate, mask_a & masks[key_b[-1]]))
+    level = []
+    for key, mask in joined:
+        sup = np.count_nonzero(mask) / n
+        if sup >= min_support:
+            level.append((key, mask, sup))
+    return level
 
 
 def mine(db: Dataset, cfg: MiningConfig) -> MiningResult:
@@ -180,74 +222,39 @@ def mine(db: Dataset, cfg: MiningConfig) -> MiningResult:
         explanation attributes), the per-attribute condition vocabulary,
         and wall times of the two phases.
     """
-    o = _check_config(db, cfg)
+    _check_config(db, cfg)
     t0 = time.perf_counter()
     conditions, reports = natural_conditions(db, cfg)
     masks = {i: condition_mask(db, c) for i, c in conditions.items()}
     condition_seconds = time.perf_counter() - t0
 
     n = db.n_rows
-    full_mask = np.ones(n, dtype=bool)
     pairs: list[ExplanationPropertyPair] = []
 
     t1 = time.perf_counter()
     for prop in db.schema:
-        score = outlierness(_view(db, full_mask, Explanation.empty()), prop, o)
-        if score.value >= cfg.min_score:
-            pairs.append(
-                ExplanationPropertyPair(Explanation.empty(), prop, score, 1.0)
-            )
-            continue  # every larger explanation would be non-minimal
-
-        passed: list[frozenset[int]] = []
-        frontier: list[tuple[tuple[int, ...], np.ndarray]] = []
         vocabulary = [i for i in sorted(conditions) if i != prop.index]
-        for i in vocabulary:
-            mask = masks[i]
-            sup = float(mask.sum()) / n
-            if sup < cfg.min_support:
-                continue
-            expl = Explanation.of(conditions[i])
-            score = outlierness(_view(db, mask, expl), prop, o)
-            if score.value >= cfg.min_score:
-                pairs.append(ExplanationPropertyPair(expl, prop, score, sup))
-                passed.append(frozenset((i,)))
-            else:
-                frontier.append(((i,), mask))
-
-        level = 2
-        while level <= cfg.max_conditions and frontier:
-            frontier_keys = {key for key, _ in frontier}
-            next_frontier: list[tuple[tuple[int, ...], np.ndarray]] = []
-            for a in range(len(frontier)):
-                key_a, mask_a = frontier[a]
-                for b in range(a + 1, len(frontier)):
-                    key_b, _ = frontier[b]
-                    if key_a[:-1] != key_b[:-1]:
-                        continue
-                    lo, hi = sorted((key_a[-1], key_b[-1]))
-                    candidate = key_a[:-1] + (lo, hi)
-                    subsets = [
-                        candidate[:r] + candidate[r + 1 :] for r in range(len(candidate))
-                    ]
-                    if any(s not in frontier_keys for s in subsets):
-                        continue
-                    cand_set = frozenset(candidate)
-                    if any(p <= cand_set for p in passed):
-                        continue
-                    mask = mask_a & masks[hi if key_a[-1] == lo else lo]
-                    sup = float(mask.sum()) / n
-                    if sup < cfg.min_support:
-                        continue
-                    expl = Explanation.of(*(conditions[i] for i in candidate))
-                    score = outlierness(_view(db, mask, expl), prop, o)
-                    if score.value >= cfg.min_score:
-                        pairs.append(ExplanationPropertyPair(expl, prop, score, sup))
-                        passed.append(cand_set)
-                    else:
-                        next_frontier.append((candidate, mask))
-            frontier = next_frontier
-            level += 1
+        # (condition indices, row mask, support) of each candidate of a level
+        level: list[tuple[tuple[int, ...], np.ndarray, float]] = [
+            ((), np.ones(n, dtype=bool), 1.0)
+        ]
+        size = 0  # conditions per candidate of the level
+        while level:
+            scores = _score_masks(db, prop, cfg.outlier_index, [mask for _, mask, _ in level])
+            frontier: list[tuple[tuple[int, ...], np.ndarray]] = []
+            for (key, mask, sup), (raw, density) in zip(level, scores):
+                value = omega(raw)
+                if value >= cfg.min_score:
+                    # reported and never extended: every superset would be non-minimal
+                    expl = Explanation.of(*(conditions[i] for i in key))
+                    score = OutliernessScore(value=value, raw=raw, query_density=density)
+                    pairs.append(ExplanationPropertyPair(expl, prop, score, sup))
+                else:
+                    frontier.append((key, mask))
+            if size == cfg.max_conditions or not frontier:
+                break
+            level = _next_level(frontier, vocabulary, masks, cfg.min_support)
+            size += 1
     scoring_seconds = time.perf_counter() - t1
 
     pairs.sort(

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import density as dens
-from .dataset import NUMERIC, Attribute, DataObject, SelectionView, satisfies
+from .dataset import NUMERIC, Attribute, DataObject, Dataset, SelectionView, satisfies
 from .errors import EmptySampleError, PreconditionError
 
 
@@ -85,20 +85,82 @@ def outlierness(view: SelectionView, attribute: Attribute, o: DataObject) -> Out
 
     v = o.values[attribute.index]
     if attribute.kind == NUMERIC:
-        col = view.column(attribute.index)
-        h = dens.global_bandwidth(col)
-        if h == dens.DEGENERATE_BANDWIDTH:
-            return OutliernessScore(value=0.0, raw=0.0, query_density=1.0)
-        xs = np.sort(col)
-        pairs = int(dens.window_counts(xs, xs, h).sum())
-        own = int(dens.window_counts(xs, float(v), h))
-        scale = n * h
+        raw, density = _window_score(view.column(attribute.index), v)
     else:
         counts = np.bincount(view.codes(attribute.index))
-        pairs = int(counts @ counts)
         code = view.base.code(attribute.index, v)
         own = int(counts[code]) if 0 <= code < counts.size else 0
-        scale = n
-    # difference taken on exact integers, so it carries a single rounding
-    raw = (pairs - n * own) / (n * scale)
-    return OutliernessScore(value=omega(raw), raw=raw, query_density=own / scale)
+        raw, density = _closed_form(int(counts @ counts), own, n, n)
+    return OutliernessScore(value=omega(raw), raw=raw, query_density=density)
+
+
+def _closed_form(pairs: int, own: int, n: int, scale: float) -> tuple[float, float]:
+    """(raw, query density) from integer pair and query counts over n rows.
+
+    scale is n*h for a window of width h and n for tokens. The difference
+    is taken on exact integers, so it carries a single rounding.
+    """
+    return (pairs - n * own) / (n * scale), own / scale
+
+
+def _window_score(col: np.ndarray, v: float) -> tuple[float, float]:
+    """(raw, query density) of value v against a numeric sample in row order.
+
+    A sample with a single distinct value carries no contrast: raw 0.0 and
+    query density 1.0.
+    """
+    h = dens.global_bandwidth(col)
+    if h == dens.DEGENERATE_BANDWIDTH:
+        return 0.0, 1.0
+    xs = np.sort(col)
+    pairs = int(dens.window_counts(xs, xs, h).sum())
+    own = int(dens.window_counts(xs, float(v), h))
+    return _closed_form(pairs, own, xs.size, xs.size * h)
+
+
+# Byte budget for the temporaries of one chunk of a categorical level: the
+# stacked masks, their copy in token order, the intp copy of that which
+# reduceat makes, and the token counts.
+_CHUNK_BYTES = 1 << 20
+
+
+def _score_masks(
+    db: Dataset, attribute: Attribute, outlier_index: int, masks: list[np.ndarray]
+) -> list[tuple[float, float]]:
+    """(raw, query density) of the designated row against each row mask.
+
+    The search kernel behind ``miner.mine``. Each mask must hold the
+    designated row, and that one check covers what ``outlierness`` tests
+    on a view: a selection holding the row is not empty, and the row
+    satisfies the conditions behind it. The caller keeps the property out
+    of those conditions. Numeric properties are scored mask by mask on the
+    selection in row order. Categorical ones take the token counts of a
+    whole chunk of masks at once: with the rows laid out in token order,
+    each token's rows are one contiguous run of columns.
+    """
+    for mask in masks:
+        if not mask[outlier_index]:
+            raise PreconditionError("a mask excludes the designated row")
+    if attribute.kind == NUMERIC:
+        col = db.columns[attribute.index]
+        v = float(col[outlier_index])
+        return [_window_score(col.compress(mask), v) for mask in masks]
+    codes = db.codes[attribute.index]
+    order = np.argsort(codes, kind="stable")
+    runs = np.bincount(codes)  # every code occurs, so no run is empty
+    starts = np.concatenate(([0], np.cumsum(runs[:-1])))
+    code = int(codes[outlier_index])
+    rows = max(1, _CHUNK_BYTES // (10 * codes.size + 8 * runs.size))
+    scores = []
+    for lo in range(0, len(masks), rows):
+        stack = np.stack(masks[lo : lo + rows])
+        counts = np.add.reduceat(stack[:, order], starts, axis=1, dtype=np.intp)
+        scores.extend(
+            _closed_form(pairs, own, n, n)
+            for pairs, own, n in zip(
+                np.einsum("ij,ij->i", counts, counts).tolist(),
+                counts[:, code].tolist(),
+                counts.sum(axis=1).tolist(),
+            )
+        )
+    return scores

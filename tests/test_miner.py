@@ -99,6 +99,8 @@ def test_mined_pairs_meet_their_definitions():
         view = select(db, pair.explanation)
         again = outlierness(view, pair.property, o)
         assert again.value == pair.score.value
+        assert again.raw == pair.score.raw
+        assert again.query_density == pair.score.query_density
 
 
 def test_mined_pairs_are_minimal():

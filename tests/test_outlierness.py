@@ -1,5 +1,6 @@
 """The outlierness score: squashing map, areas, preconditions, monotonicity."""
 
+import importlib
 import math
 
 import numpy as np
@@ -18,8 +19,13 @@ from outprop import (
     outlierness,
     select,
 )
+from outprop.dataset import condition_mask
 from outprop.density import fit_numeric, parzen_densities, parzen_density
 from outprop.errors import EmptySampleError, PreconditionError
+from outprop.outlierness import _score_masks
+
+# the package exports the function outlierness under the module's name
+outlierness_module = importlib.import_module("outprop.outlierness")
 
 
 def full_view(db):
@@ -103,6 +109,60 @@ def test_closed_form_raw_matches_curve_area_difference(kind, data):
     assert abs(score.raw - gap) <= 1e-12 * max(1.0, curve.max_density)
     if kind == "constant":
         assert score.raw == 0.0
+
+
+@given(
+    kind=st.sampled_from([*sorted(_PROPERTY_COLUMNS), "identical floats", "lone token"]),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_mask_kernel_equals_outlierness_on_the_selection(kind, data):
+    # one selector column per mask: mask j is the selection of s_j = "in"
+    n = data.draw(st.integers(1, 30), label="n")
+    r = data.draw(st.integers(0, n - 1), label="row")
+    if kind == "identical floats":
+        # the std of [0.1] * 3 rounds to 1.4e-17, not 0
+        prop = [data.draw(st.sampled_from([0.1, 0.7]), label="value")] * n
+    elif kind == "lone token":
+        prop = data.draw(_PROPERTY_COLUMNS["categorical"](n), label="property")
+        prop[r] = "z"  # the designated token is held by its own row only
+    else:
+        prop = data.draw(_PROPERTY_COLUMNS[kind](n), label="property")
+    m = data.draw(st.integers(1, 6), label="masks")
+    selectors = data.draw(
+        st.lists(st.lists(st.sampled_from(["in", "out"]), min_size=n, max_size=n),
+                 min_size=m, max_size=m),
+        label="selectors",
+    )
+    for s in selectors:
+        s[r] = "in"
+    db = Dataset.from_arrays(
+        ["p", *(f"s{j}" for j in range(m))],
+        [CATEGORICAL if kind in ("categorical", "lone token") else NUMERIC] + [CATEGORICAL] * m,
+        [prop, *selectors],
+    )
+    explanations = [Explanation.of(Condition.equality(j + 1, "in")) for j in range(m)]
+    masks = [condition_mask(db, e.conditions[0]) for e in explanations]
+    # a small budget splits the level into chunks of a few masks, or of one
+    chunk_bytes = data.draw(st.sampled_from([1, 500, 2000, outlierness_module._CHUNK_BYTES]),
+                            label="chunk bytes")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(outlierness_module, "_CHUNK_BYTES", chunk_bytes)
+        scores = _score_masks(db, db.schema[0], r, masks)
+    assert len(scores) == m
+    for e, (raw, density) in zip(explanations, scores):
+        expected = outlierness(select(db, e), db.schema[0], db.row(r))
+        assert raw == expected.raw
+        assert density == expected.query_density
+
+
+@pytest.mark.parametrize("kind", [NUMERIC, CATEGORICAL])
+def test_mask_kernel_rejects_a_mask_without_the_designated_row(kind):
+    db = one_column([0.0, 1.0, 2.0, 2.0] if kind == NUMERIC else list("abbb"), kind=kind)
+    mask = np.array([True, True, True, False])
+    assert _score_masks(db, db.schema[0], 2, [mask])
+    with pytest.raises(PreconditionError):
+        _score_masks(db, db.schema[0], 3, [mask, mask])
 
 
 def test_raw_equals_mean_density_minus_query_density():
