@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 import re
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator
@@ -289,7 +288,8 @@ _NUMBER = re.compile(
     r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf(?:inity)?|nan)",
     re.IGNORECASE,
 )
-_PADDING_OR_GROUPING = re.compile(r"[\s_]")
+# the ASCII characters [\s_] matches: str.isspace() ones and the underscore
+_PADDING_OR_GROUPING = "_" + "".join(c for c in map(chr, range(128)) if c.isspace())
 
 
 def _parse_cells(tokens: list[str]) -> list[float | None]:
@@ -297,7 +297,7 @@ def _parse_cells(tokens: list[str]) -> list[float | None]:
     # fast path: an ASCII token without padding or underscores that float()
     # accepts is exactly a _NUMBER literal
     joined = "".join(tokens)
-    if joined.isascii() and not _PADDING_OR_GROUPING.search(joined):
+    if joined.isascii() and not any(c in joined for c in _PADDING_OR_GROUPING):
         try:
             return list(map(float, tokens))
         except ValueError:
@@ -365,9 +365,8 @@ def parse_csv(source: str | IO[str], hint: dict[str, str] | None = None) -> Data
     for i, row in enumerate(reader):
         if len(row) != m:
             raise ParseError(f"expected {m} cells, found {len(row)}", row=i)
-        for j, token in enumerate(row):
-            if token == "":
-                raise MissingValueError(row=i, column=header[j])
+        if "" in row:
+            raise MissingValueError(row=i, column=header[row.index("")])
         cells.append(row)
     if not cells:
         raise ParseError("no data rows")
@@ -377,16 +376,21 @@ def parse_csv(source: str | IO[str], hint: dict[str, str] | None = None) -> Data
     for j, name in enumerate(header):
         tokens = [row[j] for row in cells]
         parsed = _parse_cells(tokens)
+        # rows before the first token that is not a number literal
+        numbers = parsed.index(None) if None in parsed else len(parsed)
         wanted = hint.get(name) if hint else None
         if wanted is None:
-            wanted = NUMERIC if all(v is not None for v in parsed) else CATEGORICAL
+            wanted = NUMERIC if numbers == len(parsed) else CATEGORICAL
         if wanted == NUMERIC:
-            for i, v in enumerate(parsed):
-                if v is None:
-                    raise ParseError(f"cannot parse {tokens[i]!r} as a number", row=i, column=name)
-                if not math.isfinite(v):
-                    raise ParseError(f"non-finite numeric value {tokens[i]!r}", row=i, column=name)
-            columns.append(np.array(parsed, dtype=np.float64))
+            col = np.array(parsed[:numbers], dtype=np.float64)
+            # a non-finite value before the first non-literal is the first fault
+            nonfinite = np.flatnonzero(~np.isfinite(col))
+            if nonfinite.size:
+                i = int(nonfinite[0])
+                raise ParseError(f"non-finite numeric value {tokens[i]!r}", row=i, column=name)
+            if numbers < len(parsed):
+                raise ParseError(f"cannot parse {tokens[numbers]!r} as a number", row=numbers, column=name)
+            columns.append(col)
         else:
             columns.append(np.array(tokens, dtype=object))
         kinds.append(wanted)

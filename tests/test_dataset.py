@@ -1,5 +1,6 @@
 """Dataset model, CSV parsing, conditions, explanations, selection."""
 
+import csv
 import io
 
 import numpy as np
@@ -89,6 +90,33 @@ def test_parse_accepts_only_plain_number_literals():
 def test_whole_column_number_parse_agrees_with_the_literal_pattern(tokens):
     expected = [float(t) if _NUMBER.fullmatch(t) else None for t in tokens]
     assert list(map(repr, _parse_cells(tokens))) == list(map(repr, expected))
+
+
+@pytest.mark.parametrize("char", ["_"] + [c for c in map(chr, range(128)) if c.isspace()], ids=repr)
+def test_padding_or_grouping_character_makes_a_cell_a_non_number(char):
+    # every ASCII character [\s_] matches; float() alone takes most of them
+    # as padding or digit grouping
+    token = "1_0" if char == "_" else f"{char}3"
+    out = io.StringIO()
+    csv.writer(out).writerows([["x", "y"], ["1", "2"], ["3", token], ["5", "6"]])
+    text = out.getvalue()
+    db = parse_csv(text)
+    assert [a.kind for a in db.schema] == [NUMERIC, CATEGORICAL]
+    assert db.columns[1][1] == token
+    with pytest.raises(ParseError) as err:
+        parse_csv(text, hint={"y": NUMERIC})
+    assert (err.value.row, err.value.column) == (1, "y")
+
+
+@pytest.mark.parametrize(
+    ("cells", "row", "message"),
+    [(["1", "inf", "x1", "4"], 1, "non-finite"), (["1", "x1", "nan", "4"], 1, "cannot parse")],
+)
+def test_numeric_hint_names_the_first_bad_row(cells, row, message):
+    with pytest.raises(ParseError) as err:
+        parse_csv("x,y\n" + "".join(f"0,{c}\n" for c in cells), hint={"y": NUMERIC})
+    assert (err.value.row, err.value.column) == (row, "y")
+    assert message in str(err.value)
 
 
 def test_parse_rejects_empty_and_header_only():

@@ -1,15 +1,23 @@
 """Self-pruning mixture fit and the natural interval of a value."""
 
 import math
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from outprop import CATEGORICAL, Dataset, EMConfig, em_fit, natural_interval
+from outprop import CATEGORICAL, Dataset, EMConfig, em_fit, intervals, natural_interval
 from outprop.errors import ConfigError, DegenerateSampleError, PreconditionError
-from outprop.intervals import _responsibilities, natural_condition_categorical
+from outprop.intervals import (
+    _in_row_blocks,
+    _responsibilities,
+    _squared_deviations,
+    natural_condition_categorical,
+)
 
 
 def two_clusters(seed=0, n=50, gap=5.0):
@@ -106,6 +114,94 @@ def test_fused_e_step_matches_the_logsumexp_reference():
         assert ll == pytest.approx(expected_ll, rel=1e-12, abs=0.0)
         assert np.all(np.isfinite(gamma))
         np.testing.assert_allclose(gamma.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+
+
+def random_mixture(rng, n, k):
+    x = rng.normal(0.0, 4.0, n)
+    return x, rng.normal(0.0, 3.0, k), rng.uniform(0.5, 2.0, k), rng.dirichlet(np.ones(k))
+
+
+def whole_matrix_e_step(x, locations, bandwidths, weights):
+    # the same arithmetic as whole-matrix calls: the reference the row
+    # blocks must match bit for bit
+    sq_dev = np.square(x[:, None] - locations)
+    gamma = sq_dev.copy()
+    gamma *= -0.5 / (bandwidths * bandwidths)
+    gamma += np.log(weights) - np.log(bandwidths) - 0.5 * math.log(2.0 * math.pi)
+    peak = gamma.max(axis=1)
+    gamma -= peak[:, None]
+    np.exp(gamma, out=gamma)
+    norm = gamma.sum(axis=1)
+    gamma /= norm[:, None]
+    return sq_dev, gamma, float(np.sum(np.log(norm)) + np.sum(peak))
+
+
+@pytest.mark.parametrize("block_rows", [1000, 64, 7, 1])
+def test_row_blocks_on_two_threads_are_bit_equal_to_whole_matrix_passes(monkeypatch, block_rows):
+    # 1000 rows fit one block; 64 and 7 leave a partial last block
+    x, locations, bandwidths, weights = random_mixture(np.random.default_rng(31), 1000, 13)
+    expected_sq, expected_gamma, expected_ll = whole_matrix_e_step(x, locations, bandwidths, weights)
+    monkeypatch.setattr(intervals, "_BLOCK_BYTES", 8 * 13 * block_rows)
+    with ThreadPoolExecutor(max_workers=1) as executor:
+        for workers in (None, executor):
+            sq_dev = _squared_deviations(x, locations, out=np.empty((1000, 13)), executor=workers)
+            assert sq_dev.tobytes() == expected_sq.tobytes()
+            gamma, ll = _responsibilities(x, locations, bandwidths, weights, sq_dev, workers)
+            assert gamma.tobytes() == expected_gamma.tobytes()
+            assert ll == expected_ll
+
+
+def test_fit_is_bit_equal_with_one_worker_and_with_two(monkeypatch):
+    xs = np.random.default_rng(33).normal(0.0, 1.0, 20000)
+    states = []
+    threads = threading.active_count()
+    for cpus in (1, 2):
+        monkeypatch.setattr(intervals, "_cpu_count", lambda cpus=cpus: cpus)
+        states.append(em_fit(xs, EMConfig(seed=2)))
+        assert threading.active_count() == threads
+    one, two = states
+    for name in ("responsibilities", "locations", "bandwidths", "weights"):
+        assert getattr(one, name).tobytes() == getattr(two, name).tobytes(), name
+    assert (one.log_likelihood, one.iterations, one.stop_reason) == (
+        two.log_likelihood, two.iterations, two.stop_reason,
+    )
+
+
+def test_a_worker_exception_reaches_the_caller(monkeypatch):
+    # ten blocks of ten rows; the worker takes the last five
+    monkeypatch.setattr(intervals, "_BLOCK_BYTES", 80)
+
+    def work(rows):
+        if rows.start == 90:
+            raise ValueError("last block")
+
+    with ThreadPoolExecutor(max_workers=1) as executor:
+        with pytest.raises(ValueError, match="last block"):
+            _in_row_blocks(100, 1, work, executor)
+
+
+def test_threaded_e_steps_under_fast_switching_are_bit_equal(monkeypatch):
+    x, locations, bandwidths, weights = random_mixture(np.random.default_rng(35), 3000, 29)
+    _, expected_gamma, expected_ll = whole_matrix_e_step(x, locations, bandwidths, weights)
+    monkeypatch.setattr(intervals, "_BLOCK_BYTES", 8 * 29 * 50)
+    results = []
+
+    def repeat():
+        with ThreadPoolExecutor(max_workers=1) as executor:
+            for _ in range(50):
+                gamma, ll = _responsibilities(x, locations, bandwidths, weights, executor=executor)
+                results.append(gamma.tobytes() == expected_gamma.tobytes() and ll == expected_ll)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        caller = threading.Thread(target=repeat, daemon=True)
+        caller.start()
+        caller.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not caller.is_alive()
+    assert results == [True] * 50
 
 
 def test_fit_peak_memory_is_within_three_n_by_k_matrices():
