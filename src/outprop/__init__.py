@@ -21,17 +21,7 @@ from .dataset import (
     select,
     support,
 )
-from .density import (
-    DensityModel,
-    StepCDF,
-    categorical_pmf,
-    density_cdf,
-    density_curve,
-    fit_categorical,
-    fit_numeric,
-    global_bandwidth,
-    parzen_density,
-)
+from .density import StepCDF, density_cdf, density_curve, global_bandwidth
 from .intervals import EMConfig, MixtureState, em_fit, natural_interval
 from .miner import (
     ExplanationPropertyPair,
@@ -52,7 +42,6 @@ __all__ = [
     "Condition",
     "DataObject",
     "Dataset",
-    "DensityModel",
     "EMConfig",
     "Explanation",
     "ExplanationPropertyPair",
@@ -64,13 +53,10 @@ __all__ = [
     "PairEvaluation",
     "SelectionView",
     "StepCDF",
-    "categorical_pmf",
     "density_cdf",
     "density_curve",
     "em_fit",
     "explain_one",
-    "fit_categorical",
-    "fit_numeric",
     "global_bandwidth",
     "mine",
     "natural_conditions",
@@ -78,7 +64,6 @@ __all__ = [
     "omega",
     "outlierness",
     "parse_csv",
-    "parzen_density",
     "read_schema_file",
     "satisfies",
     "select",

@@ -19,7 +19,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,60 +39,47 @@ def _default_seed() -> str:
     return os.environ.get("OUTPROP_SEED", "0")
 
 
-@dataclass(eq=False)
-class RunReport:
-    """Everything one mine invocation produced, ready for serialization."""
-
-    dataset_rows: int
-    dataset_attributes: int
-    config: dict
-    result: MiningResult
-
-    def records(self, db: Dataset) -> list[dict]:
-        recs: list[dict] = [
-            {
-                "record": "meta",
-                "version": REPORT_VERSION,
-                "dataset": {"rows": self.dataset_rows, "attributes": self.dataset_attributes},
-                "config": self.config,
-            },
-            {
-                "record": "conditions",
-                "items": [
-                    _condition_record(db, self.result.conditions[i])
-                    for i in sorted(self.result.conditions)
-                ],
-                "intervals": [
-                    {
-                        "attribute": r.attribute,
-                        "seed": list(r.seed),
-                        "annihilation": r.annihilation,
-                        "iterations": r.iterations,
-                        "components": r.components,
-                        "log_likelihood": r.log_likelihood,
-                        "fell_back": r.fell_back,
-                        "stop_reason": r.stop_reason,
-                        "location_spread": r.location_spread,
-                    }
-                    for r in self.result.interval_reports
-                ],
-            },
-        ]
-        for pair in self.result.pairs:
-            recs.append(
+def _report_records(db: Dataset, config: dict, result: MiningResult) -> list[dict]:
+    """The JSON records of one mine report: meta, conditions, then each pair."""
+    records: list[dict] = [
+        {
+            "record": "meta",
+            "version": REPORT_VERSION,
+            "dataset": {"rows": db.n_rows, "attributes": db.n_attributes},
+            "config": config,
+        },
+        {
+            "record": "conditions",
+            "items": [_condition_record(db, result.conditions[i]) for i in sorted(result.conditions)],
+            "intervals": [
                 {
-                    "record": "pair",
-                    "property": pair.property.name,
-                    "score": pair.score.value,
-                    "raw": pair.score.raw,
-                    "support": pair.support,
-                    "query_density": pair.score.query_density,
-                    "explanation": [
-                        _condition_record(db, c) for c in pair.explanation
-                    ],
+                    "attribute": r.attribute,
+                    "seed": list(r.seed),
+                    "annihilation": r.annihilation,
+                    "iterations": r.iterations,
+                    "components": r.components,
+                    "log_likelihood": r.log_likelihood,
+                    "fell_back": r.fell_back,
+                    "stop_reason": r.stop_reason,
+                    "location_spread": r.location_spread,
                 }
-            )
-        return recs
+                for r in result.interval_reports
+            ],
+        },
+    ]
+    for pair in result.pairs:
+        records.append(
+            {
+                "record": "pair",
+                "property": pair.property.name,
+                "score": pair.score.value,
+                "raw": pair.score.raw,
+                "support": pair.support,
+                "query_density": pair.score.query_density,
+                "explanation": [_condition_record(db, c) for c in pair.explanation],
+            }
+        )
+    return records
 
 
 def _condition_record(db: Dataset, condition: Condition) -> dict:
@@ -146,23 +132,18 @@ def _cmd_mine(args) -> int:
         em=EMConfig(seed=args.seed, annihilation=args.annihilation),
     )
     result = mine(db, cfg)
-    report = RunReport(
-        dataset_rows=db.n_rows,
-        dataset_attributes=db.n_attributes,
-        config={
-            "data": os.path.basename(args.data),
-            "outlier": args.outlier,
-            "sigma": args.sigma,
-            "omega": args.omega,
-            "kmax": args.kmax,
-            "seed": args.seed,
-            "annihilation": args.annihilation,
-            "em_tol": cfg.em.tol,
-            "em_max_iter": cfg.em.max_iter,
-        },
-        result=result,
-    )
-    text = _format_tsv(db, result) if args.tsv else _format_json(report.records(db))
+    config = {
+        "data": os.path.basename(args.data),
+        "outlier": args.outlier,
+        "sigma": args.sigma,
+        "omega": args.omega,
+        "kmax": args.kmax,
+        "seed": args.seed,
+        "annihilation": args.annihilation,
+        "em_tol": cfg.em.tol,
+        "em_max_iter": cfg.em.max_iter,
+    }
+    text = _format_tsv(db, result) if args.tsv else _format_json(_report_records(db, config, result))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -309,15 +309,24 @@ def read_schema_file(path: str) -> dict[str, str]:
     """Read a sidecar schema file with one ``name:kind`` line per attribute."""
     hint: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            name, sep, kind = line.rpartition(":")
-            if not sep or kind not in _KINDS:
-                raise ParseError(f"bad schema line {line!r}", row=lineno)
-            hint[name] = kind
+        try:
+            for lineno, line in enumerate(fh):
+                line = line.strip()
+                if not line:
+                    continue
+                name, sep, kind = line.rpartition(":")
+                if not sep or kind not in _KINDS:
+                    raise ParseError(f"bad schema line {line!r}", row=lineno)
+                hint[name] = kind
+        except UnicodeDecodeError as exc:
+            raise _not_utf8("schema file", exc) from None
     return hint
+
+
+def _not_utf8(what: str, exc: UnicodeDecodeError) -> ParseError:
+    # no row: the fault surfaces where the stream decodes its next buffer,
+    # which need not be the line that holds it
+    return ParseError(f"{what} is not valid UTF-8 ({exc.reason})")
 
 
 def parse_csv(source: str | IO[str], hint: dict[str, str] | None = None) -> Dataset:
@@ -339,7 +348,9 @@ def parse_csv(source: str | IO[str], hint: dict[str, str] | None = None) -> Data
     ------
     ParseError
         Empty input, duplicate header names, ragged rows, unparseable or
-        non-finite cells in a numeric column.
+        non-finite cells in a numeric column, a stream that is not valid
+        UTF-8, or a record the csv module rejects (such as a cell longer
+        than its field limit).
     MissingValueError
         An empty cell anywhere in the data.
     SchemaError
@@ -347,27 +358,33 @@ def parse_csv(source: str | IO[str], hint: dict[str, str] | None = None) -> Data
     """
     stream = io.StringIO(source) if isinstance(source, str) else source
     reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty input") from None
-    if len(set(header)) != len(header):
-        raise ParseError("duplicate attribute names in header")
-    if hint:
-        for name in hint:
-            if name not in header:
-                raise SchemaError(f"schema hint names unknown attribute {name!r}")
-            if hint[name] not in _KINDS:
-                raise SchemaError(f"schema hint has unknown kind {hint[name]!r}")
-
-    m = len(header)
+    header: list[str] | None = None
     cells: list[list[str]] = []
-    for i, row in enumerate(reader):
-        if len(row) != m:
-            raise ParseError(f"expected {m} cells, found {len(row)}", row=i)
-        if "" in row:
-            raise MissingValueError(row=i, column=header[row.index("")])
-        cells.append(row)
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise ParseError("empty input")
+        if len(set(header)) != len(header):
+            raise ParseError("duplicate attribute names in header")
+        if hint:
+            for name in hint:
+                if name not in header:
+                    raise SchemaError(f"schema hint names unknown attribute {name!r}")
+                if hint[name] not in _KINDS:
+                    raise SchemaError(f"schema hint has unknown kind {hint[name]!r}")
+
+        m = len(header)
+        for i, row in enumerate(reader):
+            if len(row) != m:
+                raise ParseError(f"expected {m} cells, found {len(row)}", row=i)
+            if "" in row:
+                raise MissingValueError(row=i, column=header[row.index("")])
+            cells.append(row)
+    except UnicodeDecodeError as exc:
+        raise _not_utf8("input", exc) from None
+    except csv.Error as exc:
+        # the record the reader failed on is the header or the next data row
+        raise ParseError(f"malformed CSV: {exc}", row=None if header is None else len(cells)) from None
     if not cells:
         raise ParseError("no data rows")
 

@@ -3,8 +3,9 @@
 Numeric columns use a fixed-width counting window estimator: the density at
 x is the fraction of sample points within h/2 of x, divided by h. The window
 is closed on both ends and h follows the usual normal-reference rule. Lookup
-is O(log n) against a sorted copy of the sample. Categorical columns use the
-relative frequency of each token.
+is O(log n) against a sorted copy of the sample, and ``fit_numeric`` is the
+one place a numeric sample becomes that sorted copy and its width.
+Categorical columns use the relative frequency of each token.
 
 The cdf of the per-object density values is an exact step function. The
 outlierness score needs only the mean of those values, so the cdf is built
@@ -19,14 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import NUMERIC, Attribute, SelectionView
-from .errors import (
-    DegenerateDensityError,
-    EmptySampleError,
-    InternalError,
-)
-
-PARZEN = "parzen"
-CATEGORICAL = "categorical"
+from .errors import DegenerateDensityError, EmptySampleError, InternalError
 
 # Sentinel bandwidth for constant samples; queries against such a model
 # raise, callers decide on the fallback.
@@ -51,24 +45,10 @@ def global_bandwidth(xs: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class DensityModel:
-    """Fitted per-column density model, numeric or categorical."""
+    """Fitted counting-window model: the sorted sample and the window width."""
 
-    kind: str
-    sorted_values: np.ndarray | None = field(default=None, repr=False)
-    bandwidth: float | None = None
-    frequencies: dict | None = field(default=None, repr=False)
-
-    @property
-    def n(self) -> int:
-        if self.kind == PARZEN:
-            return int(self.sorted_values.size)
-        return self._total
-
-    def __post_init__(self):
-        if self.kind == CATEGORICAL:
-            total = sum(self.frequencies.values())
-            if abs(total - 1.0) > 1e-12:
-                raise InternalError(f"categorical frequencies sum to {total!r}")
+    sorted_values: np.ndarray = field(repr=False)
+    bandwidth: float
 
 
 def fit_numeric(xs: np.ndarray) -> DensityModel:
@@ -76,22 +56,7 @@ def fit_numeric(xs: np.ndarray) -> DensityModel:
     xs = np.asarray(xs, dtype=np.float64)
     if xs.size == 0:
         raise EmptySampleError("cannot fit a density on an empty sample")
-    h = global_bandwidth(xs)
-    return DensityModel(kind=PARZEN, sorted_values=np.sort(xs), bandwidth=h)
-
-
-def fit_categorical(values) -> DensityModel:
-    values = list(values)
-    if not values:
-        raise EmptySampleError("cannot fit a density on an empty sample")
-    n = len(values)
-    freq: dict = {}
-    for v in values:
-        freq[v] = freq.get(v, 0) + 1
-    freq = {v: c / n for v, c in freq.items()}
-    model = DensityModel(kind=CATEGORICAL, frequencies=freq)
-    object.__setattr__(model, "_total", n)
-    return model
+    return DensityModel(sorted_values=np.sort(xs), bandwidth=global_bandwidth(xs))
 
 
 def window_counts(sorted_xs: np.ndarray, queries, h: float):
@@ -101,27 +66,13 @@ def window_counts(sorted_xs: np.ndarray, queries, h: float):
     return hi - np.searchsorted(sorted_xs, queries - half, side="left")
 
 
-def parzen_density(model: DensityModel, x: float) -> float:
-    """Density of the fitted numeric model at x."""
-    return float(parzen_densities(model, x))
-
-
-def parzen_densities(model: DensityModel, xs: np.ndarray) -> np.ndarray:
-    """Vectorized parzen_density for an array of query points."""
-    if model.kind != PARZEN:
-        raise InternalError("parzen_densities called on a categorical model")
+def parzen_densities(model: DensityModel, xs) -> np.ndarray:
+    """Density of the fitted model at each query point."""
     h = model.bandwidth
     if h == DEGENERATE_BANDWIDTH:
         raise DegenerateDensityError("density query against a constant sample")
     sv = model.sorted_values
     return window_counts(sv, np.asarray(xs, dtype=np.float64), h) / (sv.size * h)
-
-
-def categorical_pmf(model: DensityModel, value) -> float:
-    """Relative frequency of the token; 0.0 for unseen tokens."""
-    if model.kind != CATEGORICAL:
-        raise InternalError("categorical_pmf called on a numeric model")
-    return float(model.frequencies.get(value, 0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,12 +147,11 @@ def density_curve(view: SelectionView, attribute: Attribute) -> StepCDF:
     Every row of a column with a single distinct value gets density 1, the
     same convention under which such a column scores exactly 0.
     """
-    n = len(view)
     if attribute.kind == NUMERIC:
         col = view.column(attribute.index)
-        h = global_bandwidth(col)
-        if h == DEGENERATE_BANDWIDTH:
-            return density_cdf(np.ones(n))
-        return density_cdf(window_counts(np.sort(col), col, h) / (n * h))
+        model = fit_numeric(col)
+        if model.bandwidth == DEGENERATE_BANDWIDTH:
+            return density_cdf(np.ones(col.size))
+        return density_cdf(parzen_densities(model, col))
     codes = view.codes(attribute.index)
-    return density_cdf(np.bincount(codes)[codes] / n)
+    return density_cdf(np.bincount(codes)[codes] / codes.size)

@@ -5,7 +5,8 @@ from floor(sqrt(n)) components and prunes components whose accumulated
 responsibility falls below a threshold. Each row is then assigned to its
 highest-responsibility component, and the natural interval of a value is
 the [min, max] span of the rows sharing its component. Categorical columns
-skip all of this: the natural condition is equality with the value.
+skip all of this: their natural condition (``miner.natural_conditions``) is
+equality with the value.
 
 One EM iteration works in two n x k buffers allocated once per fit: the
 responsibilities and a scratch matrix. The M-step writes the squared
@@ -44,7 +45,6 @@ from typing import Callable
 
 import numpy as np
 
-from .dataset import Attribute, Condition, DataObject
 from .errors import ConfigError, DegenerateSampleError, PreconditionError
 
 _log = logging.getLogger(__name__)
@@ -58,6 +58,11 @@ _VAR_FLOOR = 1e-9
 # for the block to stay in cache across its steps; the same budget as
 # outlierness._CHUNK_BYTES
 _BLOCK_BYTES = 1 << 20
+
+# A column whose values are too large or too close together can take the
+# fit out of float64's range. Rescaling the column first would keep it in
+# range, but would also change the bits of every fit.
+_OUT_OF_RANGE = "mixture fit left the float64 range; the values are too large or too close together"
 
 IterationHook = Callable[[int, np.ndarray, np.ndarray], None]
 
@@ -208,6 +213,13 @@ def em_fit(xs: np.ndarray, cfg: EMConfig, iteration_hook: IterationHook | None =
     -------
     MixtureState
 
+    Raises
+    ------
+    DegenerateSampleError
+        Fewer than two distinct values, or a fit whose arithmetic leaves the
+        float64 range: a mass total, location or bandwidth that is not
+        finite, or a bandwidth of 0.
+
     Notes
     -----
     Each iteration recomputes the component weights from the accumulated
@@ -253,6 +265,8 @@ def em_fit(xs: np.ndarray, cfg: EMConfig, iteration_hook: IterationHook | None =
             mass = gamma.sum(axis=0)
             surplus = np.maximum(mass - cfg.annihilation, 0.0)
             total = surplus.sum()
+            if not math.isfinite(total):
+                raise DegenerateSampleError(_OUT_OF_RANGE)
             if total == 0.0:
                 _log.warning("all %d components annihilated; falling back to a single component", gamma.shape[1])
                 loc = np.array([x.mean()])
@@ -282,6 +296,9 @@ def em_fit(xs: np.ndarray, cfg: EMConfig, iteration_hook: IterationHook | None =
             )
             variances = np.einsum("ij,ij->j", gamma, sq_dev) / mass
             bandwidths = np.sqrt(np.maximum(variances, var_floor))
+            finite = np.isfinite(locations).all() and np.isfinite(bandwidths).all()
+            if not (finite and bandwidths.min() > 0.0):
+                raise DegenerateSampleError(_OUT_OF_RANGE)
 
             spare = gamma.ravel()
             gamma, ll = _responsibilities(x, locations, bandwidths, weights, sq_dev, executor)
@@ -324,8 +341,3 @@ def natural_interval(xs: np.ndarray, o_value: float, state: MixtureState) -> tup
     component = assignments[matches[0]]
     members = x[assignments == component]
     return float(members.min()), float(members.max())
-
-
-def natural_condition_categorical(attribute: Attribute, o: DataObject) -> Condition:
-    """Equality condition on o's token for a categorical attribute."""
-    return Condition.equality(attribute.index, o.values[attribute.index])

@@ -33,8 +33,8 @@ from .dataset import (
     condition_mask,
     select,
 )
-from .errors import ConfigError
-from .intervals import EMConfig, em_fit, natural_condition_categorical, natural_interval
+from .errors import ConfigError, DegenerateSampleError
+from .intervals import EMConfig, em_fit, natural_interval
 from .outlierness import OutliernessScore, _score_masks, omega, outlierness
 
 
@@ -139,14 +139,17 @@ def natural_conditions(
     for attr in db.schema:
         col = db.columns[attr.index]
         if attr.kind == CATEGORICAL:
-            conditions[attr.index] = natural_condition_categorical(attr, o)
+            conditions[attr.index] = Condition.equality(attr.index, o.values[attr.index])
             continue
         value = float(o.values[attr.index])
         if float(col.max()) == float(col.min()):
             conditions[attr.index] = Condition.interval(attr.index, value, value)
             continue
         seed = base_seed + (attr.index,)
-        state = em_fit(col, replace(cfg.em, seed=seed))
+        try:
+            state = em_fit(col, replace(cfg.em, seed=seed))
+        except DegenerateSampleError as exc:
+            raise DegenerateSampleError(f"attribute {attr.name!r}: {exc}") from None
         lo, hi = natural_interval(col, value, state)
         conditions[attr.index] = Condition.interval(attr.index, lo, hi)
         reports.append(
@@ -222,7 +225,6 @@ def mine(db: Dataset, cfg: MiningConfig) -> MiningResult:
         explanation attributes), the per-attribute condition vocabulary,
         and wall times of the two phases.
     """
-    _check_config(db, cfg)
     t0 = time.perf_counter()
     conditions, reports = natural_conditions(db, cfg)
     masks = {i: condition_mask(db, c) for i, c in conditions.items()}

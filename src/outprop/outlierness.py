@@ -109,10 +109,10 @@ def _window_score(col: np.ndarray, v: float) -> tuple[float, float]:
     A sample with a single distinct value carries no contrast: raw 0.0 and
     query density 1.0.
     """
-    h = dens.global_bandwidth(col)
+    model = dens.fit_numeric(col)
+    h, xs = model.bandwidth, model.sorted_values
     if h == dens.DEGENERATE_BANDWIDTH:
         return 0.0, 1.0
-    xs = np.sort(col)
     pairs = int(dens.window_counts(xs, xs, h).sum())
     own = int(dens.window_counts(xs, float(v), h))
     return _closed_form(pairs, own, xs.size, xs.size * h)

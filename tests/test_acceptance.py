@@ -40,7 +40,7 @@ from outprop import (
     select,
 )
 from outprop.cli import main as cli_main
-from outprop.density import fit_numeric, parzen_density
+from outprop.density import fit_numeric, parzen_densities
 from outprop.oracle import analytic_gaussian_score, exhaustive_mine, naive_density
 
 
@@ -332,7 +332,7 @@ def test_criterion_5e_fast_density_equals_naive():
             continue
         queries = rng.uniform(xs.min() - 0.2, xs.max() + 0.2, 100)
         for q in queries:
-            assert parzen_density(model, float(q)) == naive_density(
+            assert float(parzen_densities(model, q)) == naive_density(
                 list(xs), model.bandwidth, float(q)
             )
             comparisons += 1

@@ -96,11 +96,17 @@ def test_mine_report_records(tmp_path):
     assert scores == sorted(scores, reverse=True)
 
 
-def test_cli_import_does_not_load_scipy():
+def python(*args):
+    """Run a Python child process that imports this package's sources."""
     src = str(Path(outprop.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def test_cli_import_does_not_load_scipy():
     probe = "import sys, outprop.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    out = python("-c", probe)
+    assert out.returncode == 0
     assert out.stdout.strip() == "[]"
 
 
@@ -312,3 +318,56 @@ def test_malformed_seed_env_variable_is_a_usage_error(monkeypatch, capsys):
     assert "OUTPROP_SEED" in capsys.readouterr().err
     # an explicit --seed does not read the environment
     assert build_parser().parse_args(mine_args + ["--seed", "5"]).seed == 5
+
+
+def mine_process(*args):
+    """Exit code and stderr of a child `outprop mine` process."""
+    out = python("-m", "outprop.cli", "mine", "--outlier", "0", "--omega", "0.5", "--kmax", "1", *args)
+    return out.returncode, out.stderr
+
+
+def test_data_file_that_is_not_utf8_exits_one(tmp_path):
+    data = tmp_path / "latin1.csv"
+    data.write_bytes(b"x,y\n1,caf\xe9\n2,b\n")
+    code, err = mine_process("--data", str(data))
+    assert code == 1
+    assert "error: input is not valid UTF-8" in err
+    assert "Traceback" not in err
+
+
+def test_schema_file_that_is_not_utf8_exits_one(tmp_path):
+    data = tmp_path / "ok.csv"
+    data.write_text("x,y\n1,a\n2,b\n")
+    schema = tmp_path / "schema.txt"
+    schema.write_bytes(b"y:categorical\n\xff\n")
+    code, err = mine_process("--data", str(data), "--schema", str(schema))
+    assert code == 1
+    assert "error: schema file is not valid UTF-8" in err
+    assert "Traceback" not in err
+
+
+def test_cell_past_the_csv_field_limit_exits_one(tmp_path):
+    data = tmp_path / "long.csv"
+    data.write_text("x,y\n1,a\n2," + "b" * 200_000 + "\n")
+    code, err = mine_process("--data", str(data))
+    assert code == 1
+    assert "error: malformed CSV: field larger than field limit" in err
+    assert "(row 1)" in err
+    assert "Traceback" not in err
+
+
+OUT_OF_RANGE_COLUMNS = {
+    "squared span overflows": [1e308, -1e308, 0.0, 5.0],
+    "subnormal values": [1e-320, 0.0, 0.0, 2e-320],
+    "variance floor underflows": np.random.default_rng(0).uniform(-1e-155, 1e-155, 2000).tolist(),
+}
+
+
+@pytest.mark.parametrize("values", OUT_OF_RANGE_COLUMNS.values(), ids=OUT_OF_RANGE_COLUMNS.keys())
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow it meets
+def test_mixture_fit_out_of_float_range_exits_one(tmp_path, capsys, values):
+    data = tmp_path / "extreme.csv"
+    data.write_text("spread\n" + "".join(f"{v!r}\n" for v in values))
+    assert run(["mine", "--data", str(data), "--outlier", "0", "--omega", "0.5", "--kmax", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "error: attribute 'spread': mixture fit left the float64 range" in err

@@ -1,4 +1,4 @@
-"""Counting-window density model, categorical pmf, and the step cdf."""
+"""Counting-window density model, categorical density curve, and the step cdf."""
 
 import numpy as np
 import pytest
@@ -6,20 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from outprop import density_cdf, fit_categorical, fit_numeric, global_bandwidth, parzen_density
+from outprop import Dataset, Explanation, density_cdf, density_curve, global_bandwidth, select
 from outprop.density import (
     DEGENERATE_BANDWIDTH,
-    PARZEN,
     DensityModel,
     StepCDF,
-    categorical_pmf,
+    fit_numeric,
     parzen_densities,
 )
 from outprop.errors import DegenerateDensityError, EmptySampleError, InternalError
 
 
 def window_model(xs, h):
-    return DensityModel(kind=PARZEN, sorted_values=np.sort(np.asarray(xs, float)), bandwidth=h)
+    return DensityModel(sorted_values=np.sort(np.asarray(xs, float)), bandwidth=h)
+
+
+def density_at(model, x):
+    return float(parzen_densities(model, x))
 
 
 def test_bandwidth_normal_reference_rule():
@@ -43,26 +46,26 @@ def test_bandwidth_degenerate_cases():
 def test_window_density_worked_examples():
     # two points one window-width apart: each query point sees one neighbor
     m = window_model([0.0, 1.0], 1.0)
-    assert parzen_density(m, 0.0) == 0.5
-    assert parzen_density(m, 1.0) == 0.5
+    assert density_at(m, 0.0) == 0.5
+    assert density_at(m, 1.0) == 0.5
     # midpoint is exactly h/2 from both: closed window counts both
-    assert parzen_density(m, 0.5) == 1.0
+    assert density_at(m, 0.5) == 1.0
     m = window_model([0.0, 0.2, 0.4], 1.0)
-    assert parzen_density(m, 0.2) == 1.0
+    assert density_at(m, 0.2) == 1.0
 
 
 def test_window_endpoints_are_closed():
     m = window_model([0.0], 2.0)
-    assert parzen_density(m, -1.0) == 0.5
-    assert parzen_density(m, 1.0) == 0.5
-    assert parzen_density(m, 1.0000001) == 0.0
+    assert density_at(m, -1.0) == 0.5
+    assert density_at(m, 1.0) == 0.5
+    assert density_at(m, 1.0000001) == 0.0
 
 
 def test_density_query_on_constant_sample_raises():
     m = fit_numeric(np.full(5, 3.0))
     assert m.bandwidth == DEGENERATE_BANDWIDTH
     with pytest.raises(DegenerateDensityError):
-        parzen_density(m, 3.0)
+        parzen_densities(m, 3.0)
     with pytest.raises(DegenerateDensityError):
         parzen_densities(m, np.array([3.0]))
 
@@ -70,18 +73,6 @@ def test_density_query_on_constant_sample_raises():
 def test_fit_numeric_empty_sample():
     with pytest.raises(EmptySampleError):
         fit_numeric(np.array([]))
-    with pytest.raises(EmptySampleError):
-        fit_categorical([])
-
-
-def test_vectorized_matches_scalar():
-    rng = np.random.default_rng(11)
-    xs = rng.normal(0, 0.3, 200)
-    m = fit_numeric(xs)
-    queries = rng.uniform(-1, 1, 500)
-    batch = parzen_densities(m, queries)
-    for q, d in zip(queries[:50], batch[:50]):
-        assert parzen_density(m, float(q)) == d
 
 
 def test_density_integrates_to_one():
@@ -105,16 +96,11 @@ def test_density_is_permutation_invariant():
 
 
 def test_categorical_pmf():
-    m = fit_categorical(["a", "b", "a", "a"])
-    assert categorical_pmf(m, "a") == 0.75
-    assert categorical_pmf(m, "b") == 0.25
-    assert categorical_pmf(m, "zzz") == 0.0
-    assert m.n == 4
-
-
-def test_categorical_frequencies_must_sum_to_one():
-    with pytest.raises(InternalError):
-        DensityModel(kind="categorical", frequencies={"a": 0.5, "b": 0.4})
+    db = Dataset.from_arrays(["t"], ["categorical"], [["a", "b", "a", "a"]])
+    curve = density_curve(select(db, Explanation.empty()), db.schema[0])
+    # three rows at density 0.75 ("a"), one at 0.25 ("b")
+    np.testing.assert_array_equal(curve.breakpoints, [0.25, 0.75])
+    np.testing.assert_array_equal(curve.cumulative, [0.25, 1.0])
 
 
 def test_density_cdf_structure():

@@ -10,14 +10,9 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from outprop import CATEGORICAL, Dataset, EMConfig, em_fit, intervals, natural_interval
+from outprop import EMConfig, em_fit, intervals, natural_interval
 from outprop.errors import ConfigError, DegenerateSampleError, PreconditionError
-from outprop.intervals import (
-    _in_row_blocks,
-    _responsibilities,
-    _squared_deviations,
-    natural_condition_categorical,
-)
+from outprop.intervals import _in_row_blocks, _responsibilities, _squared_deviations
 
 
 def two_clusters(seed=0, n=50, gap=5.0):
@@ -313,11 +308,3 @@ def test_explicit_component_count():
     xs = two_clusters(seed=19)
     state = em_fit(xs, EMConfig(seed=1, components=2, annihilation=0.0))
     assert state.components == 2
-
-
-def test_categorical_natural_condition():
-    db = Dataset.from_arrays(["c"], [CATEGORICAL], [["p", "q", "p"]])
-    cond = natural_condition_categorical(db.schema[0], db.row(1))
-    assert not cond.is_interval
-    assert cond.value == "q"
-    assert cond.attribute == 0

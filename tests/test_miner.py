@@ -72,6 +72,16 @@ def test_natural_conditions_cover_every_attribute():
     assert reports[0].components >= 1
 
 
+def test_categorical_natural_condition():
+    db = Dataset.from_arrays(["c"], [CATEGORICAL], [["p", "q", "p"]])
+    conditions, reports = natural_conditions(db, MiningConfig(outlier_index=1, max_conditions=1))
+    cond = conditions[0]
+    assert not cond.is_interval
+    assert cond.value == "q"
+    assert cond.attribute == 0
+    assert reports == []
+
+
 def test_mine_finds_the_planted_pair():
     db = toy_db()
     cfg = MiningConfig(outlier_index=50, min_support=0.2, min_score=0.9, max_conditions=2)

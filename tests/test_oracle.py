@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from outprop import CATEGORICAL, Dataset, Explanation, MiningConfig, outlierness, select
-from outprop.density import fit_numeric, parzen_density
+from outprop.density import fit_numeric, parzen_densities
 from outprop.errors import OracleTooLargeError, PreconditionError
 from outprop.oracle import (
     OracleConfig,
@@ -38,7 +38,7 @@ def test_naive_matches_fast_path_exactly():
         xs = rng.normal(0.0, float(rng.choice([0.05, 1.0])), int(rng.integers(5, 60)))
         model = fit_numeric(xs)
         for q in rng.uniform(xs.min() - 0.1, xs.max() + 0.1, 50):
-            assert parzen_density(model, float(q)) == naive_density(
+            assert float(parzen_densities(model, q)) == naive_density(
                 list(xs), model.bandwidth, float(q)
             )
 

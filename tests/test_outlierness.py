@@ -20,7 +20,7 @@ from outprop import (
     select,
 )
 from outprop.dataset import condition_mask
-from outprop.density import fit_numeric, parzen_densities, parzen_density
+from outprop.density import fit_numeric, parzen_densities
 from outprop.errors import EmptySampleError, PreconditionError
 from outprop.outlierness import _score_masks
 
@@ -175,7 +175,7 @@ def test_raw_equals_mean_density_minus_query_density():
         densities = parzen_densities(model, xs)
         idx = int(rng.integers(xs.size))
         score = outlierness(full_view(db), db.schema[0], db.row(idx))
-        expected = float(densities.mean()) - parzen_density(model, float(xs[idx]))
+        expected = float(densities.mean()) - float(parzen_densities(model, xs[idx]))
         assert score.raw == pytest.approx(expected, abs=1e-10)
 
 
