@@ -187,8 +187,6 @@ def _cmd_score(args, parser: argparse.ArgumentParser) -> int:
         outlier_index=args.outlier,
         min_support=args.sigma,
         min_score=args.omega,
-        max_conditions=max(1, len(conds)),
-        em=EMConfig(),
     )
     evaluation = explain_one(db, cfg, explanation, prop.index)
     print(f"property: {prop.name}")

@@ -2,11 +2,12 @@
 
 A Gaussian mixture is fitted to the column by an EM variant that starts
 from floor(sqrt(n)) components and prunes components whose accumulated
-responsibility falls below a threshold. Each row is then assigned to its
-highest-responsibility component, and the natural interval of a value is
-the [min, max] span of the rows sharing its component. Categorical columns
-skip all of this: their natural condition (``miner.natural_conditions``) is
-equality with the value.
+responsibility falls below a threshold; when every component falls below
+it, one component covering the column takes their place. Each row is then
+assigned to its highest-responsibility component, and the natural interval
+of a value is the contiguous run of sorted values around it whose rows
+share its component. Categorical columns skip all of this: their natural
+condition (``miner.natural_conditions``) is equality with the value.
 
 One EM iteration works in two n x k buffers allocated once per fit: the
 responsibilities and a scratch matrix. The M-step writes the squared
@@ -95,16 +96,18 @@ class EMConfig:
 
 @dataclass(frozen=True, eq=False)
 class MixtureState:
-    """Fitted mixture: active components plus per-row responsibilities.
+    """Fitted mixture: active components plus each row's component.
 
-    ``stop_reason`` says why the iterations ended: "tol" (converged),
-    "max_iter" (hit the cap) or "fallback" (every component annihilated).
+    ``assignments[i]`` is the index of row i's highest-responsibility
+    component under the final E-step. ``stop_reason`` says why the
+    iterations ended: "tol" (converged), "max_iter" (hit the cap) or
+    "fallback" (every component annihilated).
     """
 
     locations: np.ndarray = field(repr=False)
     bandwidths: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
-    responsibilities: np.ndarray = field(repr=False)
+    assignments: np.ndarray = field(repr=False)
     iterations: int
     log_likelihood: float
     stop_reason: str
@@ -229,7 +232,10 @@ def em_fit(xs: np.ndarray, cfg: EMConfig, iteration_hook: IterationHook | None =
     responsibilities. Iterations stop once the relative log-likelihood
     improvement is non-negative and under ``cfg.tol``, counting only
     iterations that did not drop a component; the pruning weight rule can
-    make the likelihood dip, and a dip never counts as convergence.
+    make the likelihood dip, and a dip never counts as convergence. An
+    iteration that annihilates every component gives each row to one
+    component of weight 1, runs the same M-step, checks and E-step on it,
+    and stops with ``stop_reason`` "fallback".
     """
     x = np.asarray(xs, dtype=np.float64)
     n = x.size
@@ -243,8 +249,8 @@ def em_fit(xs: np.ndarray, cfg: EMConfig, iteration_hook: IterationHook | None =
     k0 = cfg.components if cfg.components is not None else max(1, int(math.isqrt(n)))
     rng = np.random.default_rng(cfg.seed)
     gamma = rng.random((n, k0))
-    # one worker thread shares the row-local passes; the fallback and the
-    # column sums stay on this thread
+    # one worker thread shares the row-local passes; the column sums stay
+    # on this thread
     with ThreadPoolExecutor(max_workers=1) if _cpu_count() >= 2 else nullcontext() as executor:
 
         def normalize(rows):
@@ -257,11 +263,8 @@ def em_fit(xs: np.ndarray, cfg: EMConfig, iteration_hook: IterationHook | None =
         spare = np.empty(n * k0)
 
         prev_ll = None
-        ll = -math.inf
-        iterations = 0
         stop_reason = "max_iter"
         for it in range(1, cfg.max_iter + 1):
-            iterations = it
             mass = gamma.sum(axis=0)
             surplus = np.maximum(mass - cfg.annihilation, 0.0)
             total = surplus.sum()
@@ -269,17 +272,9 @@ def em_fit(xs: np.ndarray, cfg: EMConfig, iteration_hook: IterationHook | None =
                 raise DegenerateSampleError(_OUT_OF_RANGE)
             if total == 0.0:
                 _log.warning("all %d components annihilated; falling back to a single component", gamma.shape[1])
-                loc = np.array([x.mean()])
-                bw = np.array([max(float(x.std()), math.sqrt(var_floor))])
-                w = np.array([1.0])
+                stop_reason = "fallback"
                 gamma = np.ones((n, 1))
-                _, ll = _responsibilities(x, loc, bw, w)
-                if iteration_hook is not None:
-                    iteration_hook(it, w.copy(), gamma.copy())
-                return MixtureState(
-                    locations=loc, bandwidths=bw, weights=w, responsibilities=gamma,
-                    iterations=it, log_likelihood=ll, stop_reason="fallback",
-                )
+                mass = surplus = np.array([float(n)])
 
             keep = surplus > 0.0
             dropped = not bool(keep.all())
@@ -304,6 +299,8 @@ def em_fit(xs: np.ndarray, cfg: EMConfig, iteration_hook: IterationHook | None =
             gamma, ll = _responsibilities(x, locations, bandwidths, weights, sq_dev, executor)
             if iteration_hook is not None:
                 iteration_hook(it, weights.copy(), gamma.copy())
+            if stop_reason == "fallback":
+                break
 
             if prev_ll is not None and not dropped:
                 rel = (ll - prev_ll) / max(abs(prev_ll), 1e-300)
@@ -314,30 +311,30 @@ def em_fit(xs: np.ndarray, cfg: EMConfig, iteration_hook: IterationHook | None =
                     break
             prev_ll = ll
 
-    if gamma.shape[1] < k0:
-        # gamma fills only the front of an n x k0 buffer; the state
-        # should not keep that whole buffer alive
-        gamma = gamma.copy()
     return MixtureState(
         locations=locations, bandwidths=bandwidths, weights=weights,
-        responsibilities=gamma, iterations=iterations, log_likelihood=ll,
-        stop_reason=stop_reason,
+        assignments=np.argmax(gamma, axis=1), iterations=it,
+        log_likelihood=ll, stop_reason=stop_reason,
     )
 
 
 def natural_interval(xs: np.ndarray, o_value: float, state: MixtureState) -> tuple[float, float]:
-    """Span of the sample values assigned to o_value's mixture component.
+    """[min, max] of the run of sorted sample values around o_value in its component.
 
-    xs must be the sample the state was fitted on, in the same order.
-    Returns the closed interval [min, max]; it always contains o_value.
+    The run ends, on each side, just before the nearest value of a row of
+    another component. Equal values share a component, so every row inside
+    the interval has o_value's component. xs must be the sample the state
+    was fitted on, in the same order.
     """
     x = np.asarray(xs, dtype=np.float64)
-    if x.size != state.responsibilities.shape[0]:
+    if x.size != state.assignments.size:
         raise PreconditionError("sample does not match the fitted state")
-    matches = np.nonzero(x == float(o_value))[0]
+    value = float(o_value)
+    matches = np.flatnonzero(x == value)
     if matches.size == 0:
         raise PreconditionError(f"value {o_value!r} is not in the sample")
-    assignments = np.argmax(state.responsibilities, axis=1)
-    component = assignments[matches[0]]
-    members = x[assignments == component]
-    return float(members.min()), float(members.max())
+    other = state.assignments != state.assignments[matches[0]]
+    lo_cut = np.max(x, where=other & (x < value), initial=-np.inf)
+    hi_cut = np.min(x, where=other & (x > value), initial=np.inf)
+    inside = (x > lo_cut) & (x < hi_cut)
+    return float(np.min(x, where=inside, initial=np.inf)), float(np.max(x, where=inside, initial=-np.inf))

@@ -114,10 +114,6 @@ def _check_config(db: Dataset, cfg: MiningConfig) -> DataObject:
         raise ConfigError(
             f"outlier index {cfg.outlier_index} out of range for {db.n_rows} rows"
         )
-    if cfg.max_conditions > db.n_attributes:
-        raise ConfigError(
-            f"max_conditions {cfg.max_conditions} exceeds the {db.n_attributes} attributes"
-        )
     return db.row(cfg.outlier_index)
 
 
@@ -231,6 +227,9 @@ def mine(db: Dataset, cfg: MiningConfig) -> MiningResult:
     condition_seconds = time.perf_counter() - t0
 
     n = db.n_rows
+    # the property is never a condition, so no explanation holds more
+    # than n_attributes - 1 of them
+    max_size = min(cfg.max_conditions, db.n_attributes - 1)
     pairs: list[ExplanationPropertyPair] = []
 
     t1 = time.perf_counter()
@@ -253,7 +252,7 @@ def mine(db: Dataset, cfg: MiningConfig) -> MiningResult:
                     pairs.append(ExplanationPropertyPair(expl, prop, score, sup))
                 else:
                     frontier.append((key, mask))
-            if size == cfg.max_conditions or not frontier:
+            if size == max_size or not frontier:
                 break
             level = _next_level(frontier, vocabulary, masks, cfg.min_support)
             size += 1

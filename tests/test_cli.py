@@ -266,11 +266,18 @@ def test_runtime_errors_exit_one(tmp_path, capsys):
         "mine", "--data", str(data), "--outlier", "60", "--omega", "0.5", "--kmax", "2",
     ]) == 1
     assert "out of range" in capsys.readouterr().err
-    capsys.readouterr()
-    assert run([
-        "mine", "--data", str(data), "--outlier", "0", "--omega", "0.5",
-    ]) == 1  # default kmax 3 exceeds the 2 attributes
-    assert "exceeds" in capsys.readouterr().err
+    # the default kmax 3 is past the 1 condition a 2-attribute table can
+    # apply; the search stops there and reports what --kmax 1 reports
+    reports = {}
+    for kmax in ([], ["--kmax", "1"]):
+        out = tmp_path / f"kmax{len(kmax)}.jsonl"
+        assert run([
+            "mine", "--data", str(data), "--outlier", "59", "--omega", "0.1", *kmax, "--out", str(out),
+        ]) == 0
+        reports[len(kmax)] = [json.loads(line) for line in out.read_text().splitlines()]
+    assert reports[0][0]["config"]["kmax"] == 3
+    assert reports[0][1:] == reports[2][1:]
+    assert any(r["record"] == "pair" for r in reports[0])
 
 
 def test_equality_condition_on_numeric_attribute_fails_cleanly(tmp_path, capsys):
@@ -357,17 +364,22 @@ def test_cell_past_the_csv_field_limit_exits_one(tmp_path):
 
 
 OUT_OF_RANGE_COLUMNS = {
-    "squared span overflows": [1e308, -1e308, 0.0, 5.0],
-    "subnormal values": [1e-320, 0.0, 0.0, 2e-320],
-    "variance floor underflows": np.random.default_rng(0).uniform(-1e-155, 1e-155, 2000).tolist(),
+    "squared span overflows": ([1e308, -1e308, 0.0, 5.0], []),
+    "subnormal values": ([1e-320, 0.0, 0.0, 2e-320], []),
+    "variance floor underflows": (np.random.default_rng(0).uniform(-1e-155, 1e-155, 2000).tolist(), []),
+    # both starting components are annihilated at once, and the single
+    # component that takes their place has a variance that underflows to 0
+    "subnormal values, fallback fit": ([1e-320, 0.0, 0.0, 2e-320, 0.0], ["--annihilation", "3"]),
 }
 
 
-@pytest.mark.parametrize("values", OUT_OF_RANGE_COLUMNS.values(), ids=OUT_OF_RANGE_COLUMNS.keys())
+@pytest.mark.parametrize("values, flags", OUT_OF_RANGE_COLUMNS.values(), ids=OUT_OF_RANGE_COLUMNS.keys())
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow it meets
-def test_mixture_fit_out_of_float_range_exits_one(tmp_path, capsys, values):
+def test_mixture_fit_out_of_float_range_exits_one(tmp_path, capsys, values, flags):
     data = tmp_path / "extreme.csv"
     data.write_text("spread\n" + "".join(f"{v!r}\n" for v in values))
-    assert run(["mine", "--data", str(data), "--outlier", "0", "--omega", "0.5", "--kmax", "1"]) == 1
-    err = capsys.readouterr().err
-    assert "error: attribute 'spread': mixture fit left the float64 range" in err
+    assert run(["mine", "--data", str(data), "--outlier", "0", "--omega", "0.5", "--kmax", "1", *flags]) == 1
+    captured = capsys.readouterr()
+    assert "error: attribute 'spread': mixture fit left the float64 range" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""

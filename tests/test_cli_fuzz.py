@@ -4,11 +4,13 @@ Inputs are generated in-process: raw CSV bytes (invalid UTF-8, NUL, quotes,
 ragged rows, empty cells, cells past the csv field limit, extreme and
 subnormal numbers), schema sidecar lines, and the ``mine`` and ``score``
 flags. The contract is that ``outprop.cli.main`` returns 0 or 1, or exits
-2 on a usage error, and never lets an exception escape.
+2 on a usage error, and never lets an exception escape. A JSON ``mine``
+report that exits 0 must be strict JSON, with no NaN or Infinity.
 """
 
 import contextlib
 import io
+import json
 import tempfile
 from pathlib import Path
 
@@ -116,6 +118,10 @@ def invocations(draw):
     return command, data, schema, flags, draw(st.booleans())
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
 @given(invocations())
 @settings(max_examples=200, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -139,3 +145,6 @@ def test_cli_exits_cleanly_on_any_input(invocation):
     assert code in (0, 1, 2)
     if code:
         assert err.getvalue().strip(), "a failing exit must say why"
+    elif command == "mine" and "--tsv" not in flags:
+        for line in out.getvalue().splitlines():
+            json.loads(line, parse_constant=_reject_constant)

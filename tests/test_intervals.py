@@ -36,18 +36,40 @@ def test_degenerate_samples_raise():
         em_fit(np.array([1.0]), EMConfig())
     with pytest.raises(DegenerateSampleError):
         em_fit(np.full(20, 3.3), EMConfig())
+    # every component is annihilated, and the variance of the single
+    # component that takes their place underflows to 0
+    with pytest.raises(DegenerateSampleError, match="float64 range"):
+        em_fit(np.array([1e-320, 0.0, 0.0, 2e-320, 0.0]), EMConfig(annihilation=1e6))
+
+
+def fit_with_final_responsibilities(xs, cfg):
+    """The fit and the responsibilities its last iteration handed the hook.
+
+    Asserts that the state's assignments are their row argmax, bit for bit.
+    """
+    final = []
+
+    def hook(iteration, weights, gamma):
+        final[:] = [gamma]
+
+    state = em_fit(xs, cfg, iteration_hook=hook)
+    (gamma,) = final
+    assert state.assignments.dtype == np.intp
+    assert state.assignments.tobytes() == np.argmax(gamma, axis=1).tobytes()
+    return state, gamma
 
 
 def test_fit_shape_and_invariants():
     xs = two_clusters()
-    state = em_fit(xs, EMConfig(seed=1))
+    state, gamma = fit_with_final_responsibilities(xs, EMConfig(seed=1))
     k = state.components
     assert k >= 1
     assert state.locations.shape == state.bandwidths.shape == state.weights.shape == (k,)
-    assert state.responsibilities.shape == (xs.size, k)
+    assert gamma.shape == (xs.size, k)
+    assert state.assignments.shape == (xs.size,)
     assert np.all(state.bandwidths > 0)
     assert state.weights.sum() == pytest.approx(1.0, abs=1e-9)
-    np.testing.assert_allclose(state.responsibilities.sum(axis=1), 1.0, atol=1e-9)
+    np.testing.assert_allclose(gamma.sum(axis=1), 1.0, atol=1e-9)
     assert np.isfinite(state.log_likelihood)
     assert 1 <= state.iterations <= 500
     assert state.stop_reason == "tol"
@@ -72,9 +94,9 @@ def test_invariants_hold_after_every_iteration():
 
 def test_final_state_is_a_fixed_point_of_the_responsibilities():
     xs = two_clusters(seed=5)
-    state = em_fit(xs, EMConfig(seed=6))
+    state, final = fit_with_final_responsibilities(xs, EMConfig(seed=6))
     gamma, ll = _responsibilities(xs, state.locations, state.bandwidths, state.weights)
-    np.testing.assert_array_equal(gamma, state.responsibilities)
+    np.testing.assert_array_equal(gamma, final)
     assert ll == state.log_likelihood
 
 
@@ -148,14 +170,15 @@ def test_row_blocks_on_two_threads_are_bit_equal_to_whole_matrix_passes(monkeypa
 
 def test_fit_is_bit_equal_with_one_worker_and_with_two(monkeypatch):
     xs = np.random.default_rng(33).normal(0.0, 1.0, 20000)
-    states = []
+    fits = []
     threads = threading.active_count()
     for cpus in (1, 2):
         monkeypatch.setattr(intervals, "_cpu_count", lambda cpus=cpus: cpus)
-        states.append(em_fit(xs, EMConfig(seed=2)))
+        fits.append(fit_with_final_responsibilities(xs, EMConfig(seed=2)))
         assert threading.active_count() == threads
-    one, two = states
-    for name in ("responsibilities", "locations", "bandwidths", "weights"):
+    (one, gamma_one), (two, gamma_two) = fits
+    assert gamma_one.tobytes() == gamma_two.tobytes()
+    for name in ("assignments", "locations", "bandwidths", "weights"):
         assert getattr(one, name).tobytes() == getattr(two, name).tobytes(), name
     assert (one.log_likelihood, one.iterations, one.stop_reason) == (
         two.log_likelihood, two.iterations, two.stop_reason,
@@ -209,15 +232,16 @@ def test_fit_peak_memory_is_within_three_n_by_k_matrices():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert state.responsibilities.shape[0] == n
+    assert state.assignments.shape == (n,)
     assert peak <= 3 * n * k0 * 8
 
 
 def test_same_seed_same_fit():
     xs = two_clusters(seed=7)
-    a = em_fit(xs, EMConfig(seed=42))
-    b = em_fit(xs, EMConfig(seed=42))
-    np.testing.assert_array_equal(a.responsibilities, b.responsibilities)
+    a, gamma_a = fit_with_final_responsibilities(xs, EMConfig(seed=42))
+    b, gamma_b = fit_with_final_responsibilities(xs, EMConfig(seed=42))
+    np.testing.assert_array_equal(gamma_a, gamma_b)
+    np.testing.assert_array_equal(a.assignments, b.assignments)
     np.testing.assert_array_equal(a.locations, b.locations)
     assert a.log_likelihood == b.log_likelihood
     assert a.iterations == b.iterations
@@ -253,10 +277,10 @@ def test_point_masses_separate_for_a_seed_that_escapes_the_saddle():
     # all components at the global moments; this seed breaks the symmetry
     rng = np.random.default_rng(1)
     xs = np.array([0.0, 0.0, 0.0, 10.0, 10.0, 10.0]) + rng.uniform(-0.01, 0.01, 6)
-    state = em_fit(xs, EMConfig(seed=1))
+    state, _ = fit_with_final_responsibilities(xs, EMConfig(seed=1))
     assert state.components == 2
     assert sorted(np.round(state.locations, 1)) == [0.0, 10.0]
-    assignments = np.argmax(state.responsibilities, axis=1)
+    assignments = state.assignments
     assert len(set(assignments[:3])) == 1
     assert len(set(assignments[3:])) == 1
     assert assignments[0] != assignments[3]
@@ -274,6 +298,42 @@ def test_interval_containment_holds_even_for_saddle_fits():
             value = float(xs[idx])
             lo, hi = natural_interval(xs, value, state)
             assert lo <= value <= hi
+
+
+def test_a_normal_tail_value_does_not_get_the_whole_column():
+    # the widest component wins the argmax in both tails of a normal
+    # column, so the span of all its rows is the whole column; the run
+    # around the value stops at the first row of another component
+    xs = np.random.default_rng(5).normal(0.0, 1.0, 20000)
+    value = float(xs[np.argmin(np.abs(xs + 2.0))])
+    lo, hi = natural_interval(xs, value, em_fit(xs, EMConfig(seed=2)))
+    assert lo <= value <= hi
+    assert np.count_nonzero((xs >= lo) & (xs <= hi)) < xs.size / 2
+
+
+def test_the_interval_is_the_run_of_the_value_s_component():
+    rng = np.random.default_rng(41)
+    for trial in range(80):
+        k = int(rng.integers(1, 5))
+        size = (int(rng.integers(5, 120)), k)
+        xs = rng.normal(rng.uniform(-5.0, 5.0, k), rng.uniform(0.1, 2.0, k), size).ravel()
+        if trial % 3 == 0:
+            xs = np.round(xs, 1)  # ties
+        if xs.max() == xs.min():
+            continue
+        annihilation = 1e6 if trial % 10 == 0 else 1.0
+        state = em_fit(xs, EMConfig(seed=trial, annihilation=annihilation))
+        for value in xs[rng.integers(xs.size, size=4)]:
+            lo, hi = natural_interval(xs, float(value), state)
+            assert lo <= value <= hi
+            assert lo in xs and hi in xs
+            component = state.assignments[np.flatnonzero(xs == value)[0]]
+            assert np.all(state.assignments[(xs >= lo) & (xs <= hi)] == component)
+            below, above = xs[xs < lo], xs[xs > hi]
+            if below.size:
+                assert np.all(state.assignments[xs == below.max()] != component)
+            if above.size:
+                assert np.all(state.assignments[xs == above.min()] != component)
 
 
 def test_equal_values_share_an_interval():
@@ -300,6 +360,11 @@ def test_all_components_annihilated_falls_back():
     assert state.location_spread == 0.0
     assert state.components == 1
     np.testing.assert_array_equal(state.weights, [1.0])
+    np.testing.assert_array_equal(state.assignments, np.zeros(xs.size))
+    assert state.iterations == 1
+    assert state.locations[0] == pytest.approx(xs.mean(), rel=1e-12)
+    assert state.bandwidths[0] == pytest.approx(xs.std(), rel=1e-12)
+    assert np.isfinite(state.log_likelihood)
     lo, hi = natural_interval(xs, float(xs[0]), state)
     assert lo == xs.min() and hi == xs.max()
 

@@ -47,8 +47,13 @@ def test_config_checked_against_dataset():
     db = toy_db()
     with pytest.raises(ConfigError):
         mine(db, MiningConfig(outlier_index=51, max_conditions=1))
-    with pytest.raises(ConfigError):
-        mine(db, MiningConfig(outlier_index=0, max_conditions=3))  # only 2 attributes
+    # 2 attributes apply at most 1 condition: a larger bound searches no further
+    three = mine(db, MiningConfig(outlier_index=50, min_score=0.1, max_conditions=3))
+    one = mine(db, MiningConfig(outlier_index=50, min_score=0.1, max_conditions=1))
+    assert three.pairs
+    assert [(p.explanation, p.property.index, p.score.value) for p in three.pairs] == [
+        (p.explanation, p.property.index, p.score.value) for p in one.pairs
+    ]
 
 
 def test_natural_conditions_cover_every_attribute():
