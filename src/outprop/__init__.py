@@ -12,14 +12,11 @@ from .dataset import (
     Attribute,
     Condition,
     Dataset,
-    DataObject,
     Explanation,
     SelectionView,
     parse_csv,
     read_schema_file,
-    satisfies,
     select,
-    support,
 )
 from .density import StepCDF, density_cdf, density_curve, global_bandwidth
 from .intervals import EMConfig, MixtureState, em_fit, natural_interval
@@ -40,7 +37,6 @@ __all__ = [
     "Attribute",
     "CATEGORICAL",
     "Condition",
-    "DataObject",
     "Dataset",
     "EMConfig",
     "Explanation",
@@ -65,7 +61,5 @@ __all__ = [
     "outlierness",
     "parse_csv",
     "read_schema_file",
-    "satisfies",
     "select",
-    "support",
 ]

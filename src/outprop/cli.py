@@ -25,7 +25,7 @@ import numpy as np
 from .dataset import Condition, Dataset, Explanation, parse_csv, read_schema_file, select
 from .density import density_curve
 from .errors import Error
-from .intervals import EMConfig
+from .intervals import MAX_ITER, TOL, EMConfig
 from .miner import MiningConfig, MiningResult, explain_one, mine
 
 REPORT_VERSION = 1
@@ -140,8 +140,8 @@ def _cmd_mine(args) -> int:
         "kmax": args.kmax,
         "seed": args.seed,
         "annihilation": args.annihilation,
-        "em_tol": cfg.em.tol,
-        "em_max_iter": cfg.em.max_iter,
+        "em_tol": TOL,
+        "em_max_iter": MAX_ITER,
     }
     text = _format_tsv(db, result) if args.tsv else _format_json(_report_records(db, config, result))
     if args.out:
@@ -302,11 +302,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except Error as exc:
+    except (Error, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError as exc:
+        # numpy names the allocation that failed; a bare MemoryError has no text
+        print(f"error: out of memory{': ' if str(exc) else ''}{exc}", file=sys.stderr)
         return 1
 
 

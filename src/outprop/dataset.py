@@ -110,17 +110,6 @@ class Explanation:
         return "; ".join(c.describe(schema) for c in self.conditions)
 
 
-@dataclass(frozen=True)
-class DataObject:
-    """One row, with a reference to the schema its cells follow."""
-
-    values: tuple
-    schema: tuple[Attribute, ...]
-
-    def __getitem__(self, index: int):
-        return self.values[index]
-
-
 class Dataset:
     """Immutable table with typed columns.
 
@@ -193,15 +182,6 @@ class Dataset:
         """Integer code of a categorical token; -1 for a token not in the column."""
         return self._vocabularies[attribute_index].get(token, -1)
 
-    def row(self, index: int) -> DataObject:
-        if not 0 <= index < self._n:
-            raise IndexError(f"row index {index} out of range for {self._n} rows")
-        values = tuple(
-            float(col[index]) if a.kind == NUMERIC else col[index]
-            for a, col in zip(self.schema, self.columns)
-        )
-        return DataObject(values=values, schema=self.schema)
-
 
 def _encode(col: np.ndarray) -> tuple[dict, np.ndarray]:
     """Vocabulary (token -> code, by first appearance) and per-row codes."""
@@ -246,19 +226,6 @@ def _check_condition(condition: Condition, schema: tuple[Attribute, ...]) -> Att
     return attr
 
 
-def satisfies(o: DataObject, explanation: Explanation) -> bool:
-    """True when every condition of the explanation holds for row o."""
-    for condition in explanation:
-        attr = _check_condition(condition, o.schema)
-        cell = o.values[attr.index]
-        if condition.is_interval:
-            if not (condition.lower <= cell <= condition.upper):
-                return False
-        elif cell != condition.value:
-            return False
-    return True
-
-
 def condition_mask(db: Dataset, condition: Condition) -> np.ndarray:
     """Boolean mask of the rows of db that satisfy one condition."""
     attr = _check_condition(condition, db.schema)
@@ -274,11 +241,6 @@ def select(db: Dataset, explanation: Explanation) -> SelectionView:
     for condition in explanation:
         mask &= condition_mask(db, condition)
     return SelectionView(base=db, indices=np.nonzero(mask)[0], explanation=explanation)
-
-
-def support(db: Dataset, explanation: Explanation) -> float:
-    """Fraction of rows of db selected by the explanation."""
-    return select(db, explanation).fraction
 
 
 # A plain decimal or exponent literal in ASCII digits, or an inf/nan word

@@ -3,11 +3,13 @@
 A Gaussian mixture is fitted to the column by an EM variant that starts
 from floor(sqrt(n)) components and prunes components whose accumulated
 responsibility falls below a threshold; when every component falls below
-it, one component covering the column takes their place. Each row is then
-assigned to its highest-responsibility component, and the natural interval
-of a value is the contiguous run of sorted values around it whose rows
-share its component. Categorical columns skip all of this: their natural
-condition (``miner.natural_conditions``) is equality with the value.
+it, one component covering the column takes their place. The fit stops
+when the relative log-likelihood gain falls under ``TOL`` or after
+``MAX_ITER`` iterations. Each row is then assigned to its
+highest-responsibility component, and the natural interval of a value is
+the contiguous run of sorted values around it whose rows share its
+component. Categorical columns skip all of this: their natural condition
+(``miner.natural_conditions``) is equality with the value.
 
 One EM iteration works in two n x k buffers allocated once per fit: the
 responsibilities and a scratch matrix. The M-step writes the squared
@@ -23,24 +25,22 @@ are single-threaded einsum reductions, not BLAS products.
 
 Every row-local pass (normalizing the random start, the squared
 deviations and the whole E-step) runs over blocks of rows of about
-``_BLOCK_BYTES`` each, so a block stays in cache between its steps. When
-the process may run on two or more CPUs, each fit starts one worker
-thread that takes the second half of the blocks while the calling thread
-takes the first half; numpy releases the interpreter lock inside each
-step. A pass writes only its own rows, so every value is the same, bit
-for bit, with or without the worker. The column sums (the mass, the
-location and variance sums) stay whole-matrix calls on the calling
-thread: summing them block by block would change their last bits, and
-splitting them by column reads the matrix with a stride and is slower.
+``_BLOCK_BYTES`` each, so a block stays in cache between its steps. Each
+fit starts one worker thread that takes the second half of the blocks
+while the calling thread takes the first half; numpy releases the
+interpreter lock inside each step. A pass writes only its own rows, so
+every value is the same, bit for bit, with or without the worker. The
+column sums (the mass, the location and variance sums) stay whole-matrix
+calls on the calling thread: summing them block by block would change
+their last bits, and splitting them by column reads the matrix with a
+stride and is slower.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import os
 from concurrent.futures import Executor, ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -54,6 +54,11 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 # Variance floor, relative to the squared sample range.
 _VAR_FLOOR = 1e-9
+
+# Convergence threshold on the relative log-likelihood improvement, and the
+# iteration cap of one fit
+TOL = 1e-6
+MAX_ITER = 500
 
 # Bytes of the n x k matrix in one block of a row-local pass, small enough
 # for the block to stay in cache across its steps; the same budget as
@@ -72,24 +77,16 @@ IterationHook = Callable[[int, np.ndarray, np.ndarray], None]
 class EMConfig:
     """Knobs for the mixture fit.
 
-    ``components`` is the initial component count; None means
-    floor(sqrt(n)). ``annihilation`` is the responsibility mass below which
-    a component is dropped. ``seed`` may be an int or a tuple of ints.
+    ``seed`` may be an int or a tuple of ints. ``annihilation`` is the
+    responsibility mass below which a component is dropped. The start count
+    floor(sqrt(n)), the convergence threshold ``TOL`` and the iteration cap
+    ``MAX_ITER`` are fixed.
     """
 
     seed: int | tuple = 0
-    components: int | None = None
-    tol: float = 1e-6
-    max_iter: int = 500
     annihilation: float = 1.0
 
     def __post_init__(self):
-        if self.components is not None and self.components < 1:
-            raise ConfigError("components must be at least 1")
-        if not self.tol > 0:
-            raise ConfigError("tol must be positive")
-        if self.max_iter < 1:
-            raise ConfigError("max_iter must be at least 1")
         if self.annihilation < 0:
             raise ConfigError("annihilation threshold must be non-negative")
 
@@ -124,13 +121,6 @@ class MixtureState:
     def location_spread(self) -> float:
         """Largest minus smallest component location; 0 for one component."""
         return float(self.locations.max() - self.locations.min())
-
-
-def _cpu_count() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def _each(work, blocks):
@@ -230,12 +220,14 @@ def em_fit(xs: np.ndarray, cfg: EMConfig, iteration_hook: IterationHook | None =
     whose weight hits zero (they never come back), refreshes location and
     spread from the responsibility-weighted moments, then renormalizes the
     responsibilities. Iterations stop once the relative log-likelihood
-    improvement is non-negative and under ``cfg.tol``, counting only
+    improvement is non-negative and under ``TOL``, counting only
     iterations that did not drop a component; the pruning weight rule can
-    make the likelihood dip, and a dip never counts as convergence. An
-    iteration that annihilates every component gives each row to one
-    component of weight 1, runs the same M-step, checks and E-step on it,
-    and stops with ``stop_reason`` "fallback".
+    make the likelihood dip, and a dip never counts as convergence.
+    Without convergence the fit stops after ``MAX_ITER`` iterations with
+    ``stop_reason`` "max_iter". An iteration that annihilates every
+    component gives each row to one component of weight 1, runs the same
+    M-step, checks and E-step on it, and stops with ``stop_reason``
+    "fallback".
     """
     x = np.asarray(xs, dtype=np.float64)
     n = x.size
@@ -246,12 +238,12 @@ def em_fit(xs: np.ndarray, cfg: EMConfig, iteration_hook: IterationHook | None =
         raise DegenerateSampleError("mixture fit needs a non-constant sample")
     var_floor = _VAR_FLOOR * span * span
 
-    k0 = cfg.components if cfg.components is not None else max(1, int(math.isqrt(n)))
+    k0 = math.isqrt(n)
     rng = np.random.default_rng(cfg.seed)
     gamma = rng.random((n, k0))
     # one worker thread shares the row-local passes; the column sums stay
     # on this thread
-    with ThreadPoolExecutor(max_workers=1) if _cpu_count() >= 2 else nullcontext() as executor:
+    with ThreadPoolExecutor(max_workers=1) as executor:
 
         def normalize(rows):
             g = gamma[rows]
@@ -264,7 +256,7 @@ def em_fit(xs: np.ndarray, cfg: EMConfig, iteration_hook: IterationHook | None =
 
         prev_ll = None
         stop_reason = "max_iter"
-        for it in range(1, cfg.max_iter + 1):
+        for it in range(1, MAX_ITER + 1):
             mass = gamma.sum(axis=0)
             surplus = np.maximum(mass - cfg.annihilation, 0.0)
             total = surplus.sum()
@@ -306,7 +298,7 @@ def em_fit(xs: np.ndarray, cfg: EMConfig, iteration_hook: IterationHook | None =
                 rel = (ll - prev_ll) / max(abs(prev_ll), 1e-300)
                 # a dip is not convergence: the pruning weight rule is not a
                 # proper M-step, so the likelihood may fall; keep iterating
-                if 0.0 <= rel < cfg.tol:
+                if 0.0 <= rel < TOL:
                     stop_reason = "tol"
                     break
             prev_ll = ll

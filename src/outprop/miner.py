@@ -28,7 +28,6 @@ from .dataset import (
     Attribute,
     Condition,
     Dataset,
-    DataObject,
     Explanation,
     condition_mask,
     select,
@@ -109,12 +108,11 @@ class MiningResult:
     scoring_seconds: float
 
 
-def _check_config(db: Dataset, cfg: MiningConfig) -> DataObject:
+def _check_config(db: Dataset, cfg: MiningConfig) -> None:
     if cfg.outlier_index >= db.n_rows:
         raise ConfigError(
             f"outlier index {cfg.outlier_index} out of range for {db.n_rows} rows"
         )
-    return db.row(cfg.outlier_index)
 
 
 def natural_conditions(
@@ -128,16 +126,16 @@ def natural_conditions(
     attributes are independent. A constant numeric column degenerates to
     the single-point interval. Categorical attributes get equality.
     """
-    o = _check_config(db, cfg)
+    _check_config(db, cfg)
     conditions: dict[int, Condition] = {}
     reports: list[IntervalReport] = []
     base_seed = cfg.em.seed if isinstance(cfg.em.seed, tuple) else (cfg.em.seed,)
     for attr in db.schema:
         col = db.columns[attr.index]
         if attr.kind == CATEGORICAL:
-            conditions[attr.index] = Condition.equality(attr.index, o.values[attr.index])
+            conditions[attr.index] = Condition.equality(attr.index, col[cfg.outlier_index])
             continue
-        value = float(o.values[attr.index])
+        value = float(col[cfg.outlier_index])
         if float(col.max()) == float(col.min()):
             conditions[attr.index] = Condition.interval(attr.index, value, value)
             continue
@@ -283,7 +281,7 @@ def explain_one(
     cfg.min_support and the score reaches cfg.min_score; a pair below the
     support threshold is rejected no matter its score.
     """
-    o = _check_config(db, cfg)
+    _check_config(db, cfg)
     if not 0 <= property_index < db.n_attributes:
         raise ConfigError(f"no attribute at index {property_index}")
     if property_index in explanation.attributes:
@@ -291,7 +289,7 @@ def explain_one(
     view = select(db, explanation)
     sup = view.fraction
     prop = db.schema[property_index]
-    score = outlierness(view, prop, o)
+    score = outlierness(view, prop, cfg.outlier_index)
     accepted = sup >= cfg.min_support and score.value >= cfg.min_score
     return PairEvaluation(
         explanation=explanation, property=prop, support=sup, score=score, accepted=accepted

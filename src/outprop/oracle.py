@@ -106,7 +106,6 @@ def exhaustive_mine(
             f"{db.n_rows} rows exceed the enumeration guard of {oracle_cfg.max_rows}"
         )
     conditions, _ = natural_conditions(db, cfg)
-    o = db.row(cfg.outlier_index)
 
     accepted: list[OraclePair] = []
     for prop in db.schema:
@@ -124,7 +123,7 @@ def exhaustive_mine(
                     continue
                 column = db.columns[prop.index]
                 values = [column[r] for r in rows]
-                score = _score_column(values, prop.kind, o.values[prop.index])
+                score = _score_column(values, prop.kind, column[cfg.outlier_index])
                 if score >= cfg.min_score:
                     accepted.append(
                         OraclePair(frozenset(combo), prop.index, score, sup)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import density as dens
-from .dataset import NUMERIC, Attribute, DataObject, Dataset, SelectionView, satisfies
+from .dataset import NUMERIC, Attribute, Dataset, SelectionView
 from .errors import EmptySampleError, PreconditionError
 
 
@@ -53,18 +53,18 @@ class OutliernessScore:
         return self.value
 
 
-def outlierness(view: SelectionView, attribute: Attribute, o: DataObject) -> OutliernessScore:
-    """Score how atypical o's value on the attribute is within the view.
+def outlierness(view: SelectionView, attribute: Attribute, row: int) -> OutliernessScore:
+    """Score how atypical a row's value on the attribute is within the view.
 
     Parameters
     ----------
     view : SelectionView
-        Rows the score is computed against. o must satisfy the view's
-        explanation and is expected to be one of its rows.
+        Rows the score is computed against.
     attribute : Attribute
         The property being scored. Must not appear in the view's explanation.
-    o : DataObject
-        The designated row.
+    row : int
+        Index of the designated row in ``view.base``. Must be one of
+        ``view.indices``.
 
     Returns
     -------
@@ -77,19 +77,19 @@ def outlierness(view: SelectionView, attribute: Attribute, o: DataObject) -> Out
         raise PreconditionError(
             f"attribute {attribute.name!r} appears in the conditioning explanation"
         )
-    if not satisfies(o, view.explanation):
-        raise PreconditionError("row does not satisfy the view's explanation")
     n = len(view)
     if n == 0:
         raise EmptySampleError("outlierness against an empty selection")
+    # a hand-built view's indices need not be sorted
+    if not np.any(view.indices == row):
+        raise PreconditionError(f"row {row} is not in the selection")
 
-    v = o.values[attribute.index]
     if attribute.kind == NUMERIC:
+        v = view.base.columns[attribute.index][row]
         raw, density = _window_score(view.column(attribute.index), v)
     else:
         counts = np.bincount(view.codes(attribute.index))
-        code = view.base.code(attribute.index, v)
-        own = int(counts[code]) if 0 <= code < counts.size else 0
+        own = int(counts[view.base.codes[attribute.index][row]])
         raw, density = _closed_form(int(counts @ counts), own, n, n)
     return OutliernessScore(value=omega(raw), raw=raw, query_density=density)
 
@@ -130,10 +130,9 @@ def _score_masks(
     """(raw, query density) of the designated row against each row mask.
 
     The search kernel behind ``miner.mine``. Each mask must hold the
-    designated row, and that one check covers what ``outlierness`` tests
-    on a view: a selection holding the row is not empty, and the row
-    satisfies the conditions behind it. The caller keeps the property out
-    of those conditions. Numeric properties are scored mask by mask on the
+    designated row, as ``outlierness`` requires of a view's rows, so no
+    mask is empty. The caller keeps the property out of the conditions
+    behind the masks. Numeric properties are scored mask by mask on the
     selection in row order. Categorical ones take the token counts of a
     whole chunk of masks at once: with the rows laid out in token order,
     each token's rows are one contiguous run of columns.

@@ -267,7 +267,7 @@ def test_criterion_5a_score_range_on_fuzzed_inputs():
         view = select(db, Explanation.empty())
         curve = density_curve(view, db.schema[0])
         for r in range(db.n_rows):
-            score = outlierness(view, db.schema[0], db.row(r))
+            score = outlierness(view, db.schema[0], r)
             assert 0.0 <= score.value <= 1.0
             assert score.value == omega(score.raw)
             assert curve.area_above(score.query_density) >= 0.0
@@ -285,7 +285,7 @@ def test_criterion_5b_score_monotone_in_query_density():
         else:
             db = Dataset.from_arrays(["x"], [NUMERIC], [conftest.numeric_column(rng, n)])
         view = select(db, Explanation.empty())
-        scores = [outlierness(view, db.schema[0], db.row(r)) for r in range(n)]
+        scores = [outlierness(view, db.schema[0], r) for r in range(n)]
         scores.sort(key=lambda s: s.query_density)
         values = [s.value for s in scores]
         assert all(a >= b for a, b in zip(values, values[1:])), f"model {model_index}"
@@ -298,10 +298,10 @@ def test_criterion_5b_score_monotone_in_query_density():
 def test_criterion_5c_constant_columns_score_zero():
     for n in (1, 2, 17, 336):
         db = Dataset.from_arrays(["x"], [NUMERIC], [np.full(n, 3.3)])
-        score = outlierness(select(db, Explanation.empty()), db.schema[0], db.row(0))
+        score = outlierness(select(db, Explanation.empty()), db.schema[0], 0)
         assert score.value == 0.0
     db = Dataset.from_arrays(["x"], [CATEGORICAL], [["t"] * 25])
-    score = outlierness(select(db, Explanation.empty()), db.schema[0], db.row(0))
+    score = outlierness(select(db, Explanation.empty()), db.schema[0], 0)
     assert score.value == 0.0
     report("criterion 5c, constant columns", True, "numeric and categorical constants score exactly 0.0")
 

@@ -96,11 +96,11 @@ def test_mine_report_records(tmp_path):
     assert scores == sorted(scores, reverse=True)
 
 
-def python(*args):
+def python(*args, **kwargs):
     """Run a Python child process that imports this package's sources."""
     src = str(Path(outprop.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, **kwargs)
 
 
 def test_cli_import_does_not_load_scipy():
@@ -383,3 +383,24 @@ def test_mixture_fit_out_of_float_range_exits_one(tmp_path, capsys, values, flag
     assert "error: attribute 'spread': mixture fit left the float64 range" in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def test_out_of_memory_exits_one_with_an_error_line(tmp_path):
+    # 300,000 rows start the fit at isqrt(n) = 547 components, and one
+    # n x k buffer of them is 1.22 GiB, past the child's 1 GiB address
+    # space. A fit on bins, which holds no n x k buffer, will run this to
+    # exit 0 instead. The limit is set in the child only; never run this
+    # case without it.
+    resource = pytest.importorskip("resource")
+    xs = np.random.default_rng(5).normal(0.0, 1.0, 300_000)
+    data = tmp_path / "tall.csv"
+    data.write_text("x\n" + "\n".join(map(repr, xs.tolist())) + "\n", encoding="utf-8")
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    child = python("-m", "outprop.cli", "mine", "--data", str(data), "--outlier", "0",
+                   "--omega", "0.5", preexec_fn=limit_address_space, timeout=120)
+    assert child.returncode == 1
+    assert child.stderr.startswith("error: out of memory: Unable to allocate 1.22 GiB")
+    assert "Traceback" not in child.stderr

@@ -17,9 +17,7 @@ from outprop import (
     Explanation,
     parse_csv,
     read_schema_file,
-    satisfies,
     select,
-    support,
 )
 from outprop.dataset import _NUMBER, _parse_cells
 from outprop.errors import MissingValueError, ParseError, SchemaError
@@ -38,9 +36,7 @@ def test_parse_infers_kinds_and_values():
     assert [a.kind for a in db.schema] == [NUMERIC, CATEGORICAL, NUMERIC]
     assert db.columns[0].dtype == np.float64
     assert list(db.columns[1]) == ["on", "off", "on"]
-    row = db.row(1)
-    assert row.values == (2.5, "off", 0.5)
-    assert row[1] == "off"
+    assert [col[1] for col in db.columns] == [2.5, "off", 0.5]
 
 
 def test_parse_accepts_stream_input():
@@ -161,14 +157,6 @@ def test_from_arrays_validates():
         Attribute(0, "x", "fancy")
 
 
-def test_row_index_bounds():
-    db = small_db()
-    with pytest.raises(IndexError):
-        db.row(3)
-    with pytest.raises(IndexError):
-        db.row(-1)
-
-
 def test_attribute_lookup_by_name():
     db = small_db()
     assert db.attribute("label").index == 1
@@ -223,15 +211,6 @@ def test_describe_is_readable():
     assert Explanation.empty().describe(db.schema) == "(empty)"
 
 
-def test_satisfies_matches_select():
-    db = small_db()
-    expl = Explanation.of(Condition.interval(0, 1.0, 3.0), Condition.equality(1, "on"))
-    view = select(db, expl)
-    selected = set(view.indices.tolist())
-    for r in range(db.n_rows):
-        assert (r in selected) == satisfies(db.row(r), expl)
-
-
 def test_select_empty_explanation_returns_all():
     db = small_db()
     view = select(db, Explanation.empty())
@@ -259,7 +238,7 @@ def test_select_can_be_empty():
     db = small_db()
     view = select(db, Explanation.of(Condition.interval(0, 100.0, 200.0)))
     assert len(view) == 0
-    assert support(db, view.explanation) == 0.0
+    assert view.fraction == 0.0
     assert len(select(db, Explanation.of(Condition.equality(1, "absent")))) == 0
 
 
@@ -276,10 +255,10 @@ def test_support_monotone_under_added_condition(lo, width):
     )
     base = Explanation.of(Condition.interval(0, -0.5, 0.7))
     extended = Explanation.of(base.conditions[0], Condition.interval(1, lo, lo + width))
-    assert support(db, extended) <= support(db, base) <= 1.0
+    assert select(db, extended).fraction <= select(db, base).fraction <= 1.0
 
 
 def test_duplicates_are_preserved():
     db = Dataset.from_arrays(["x"], [NUMERIC], [[1.0, 1.0, 1.0, 2.0]])
     assert db.n_rows == 4
-    assert support(db, Explanation.of(Condition.interval(0, 1.0, 1.0))) == 0.75
+    assert select(db, Explanation.of(Condition.interval(0, 1.0, 1.0))).fraction == 0.75

@@ -16,7 +16,6 @@ from outprop import (
     natural_conditions,
     outlierness,
     select,
-    support,
 )
 from outprop.errors import ConfigError
 from outprop.oracle import exhaustive_mine
@@ -66,10 +65,9 @@ def test_natural_conditions_cover_every_attribute():
     cfg = MiningConfig(outlier_index=3, max_conditions=2, em=EMConfig(seed=5))
     conditions, reports = natural_conditions(db, cfg)
     assert set(conditions) == {0, 1, 2}
-    o = db.row(3)
     lo, hi = conditions[0].lower, conditions[0].upper
-    assert lo <= o.values[0] <= hi
-    assert conditions[1].value == o.values[1]
+    assert lo <= db.columns[0][3] <= hi
+    assert conditions[1].value == db.columns[1][3]
     assert (conditions[2].lower, conditions[2].upper) == (7.0, 7.0)
     # one mixture report per non-constant numeric attribute, seeded per attribute
     assert [r.attribute for r in reports] == ["num"]
@@ -104,15 +102,14 @@ def test_mine_finds_the_planted_pair():
 def test_mined_pairs_meet_their_definitions():
     db, cfg = random_instance(31, max_rows=120)
     result = mine(db, cfg)
-    o = db.row(cfg.outlier_index)
     for pair in result.pairs:
         assert pair.property.index not in pair.explanation.attributes
         assert len(pair.explanation) <= cfg.max_conditions
         assert pair.support >= cfg.min_support
         assert pair.score.value >= cfg.min_score
-        assert support(db, pair.explanation) == pair.support
         view = select(db, pair.explanation)
-        again = outlierness(view, pair.property, o)
+        assert view.fraction == pair.support
+        again = outlierness(view, pair.property, cfg.outlier_index)
         assert again.value == pair.score.value
         assert again.raw == pair.score.raw
         assert again.query_density == pair.score.query_density
@@ -220,7 +217,7 @@ def test_explain_one_matches_mine_for_the_empty_explanation():
 def test_explain_one_rejects_low_support_regardless_of_score():
     db = toy_db()
     cfg = MiningConfig(outlier_index=50, min_support=0.9, min_score=0.0, max_conditions=2)
-    v = db.row(50).values[1]
+    v = db.columns[1][50]
     expl = Explanation.of(Condition.interval(1, v - 0.1, v + 0.1))
     evaluation = explain_one(db, cfg, expl, 0)
     assert evaluation.support < 0.9

@@ -49,7 +49,7 @@ def test_score_column_matches_production_scoring():
         xs = rng.normal(0.0, 0.08, int(rng.integers(5, 80)))
         db = Dataset.from_arrays(["x"], ["numeric"], [xs])
         idx = int(rng.integers(xs.size))
-        fast = outlierness(select(db, Explanation.empty()), db.schema[0], db.row(idx))
+        fast = outlierness(select(db, Explanation.empty()), db.schema[0], idx)
         slow = _score_column(list(xs), "numeric", float(xs[idx]))
         assert fast.value == pytest.approx(slow, abs=1e-12)
 
@@ -121,6 +121,6 @@ def test_analytic_agrees_with_a_large_sample():
     rng = np.random.default_rng(73)
     xs = np.concatenate([rng.normal(0.0, 0.1, 20000), [-1.0]])
     db = Dataset.from_arrays(["x"], ["numeric"], [xs])
-    sampled = outlierness(select(db, Explanation.empty()), db.schema[0], db.row(20000))
+    sampled = outlierness(select(db, Explanation.empty()), db.schema[0], 20000)
     analytic = analytic_gaussian_score(0.0, 0.1, -1.0)
     assert sampled.value == pytest.approx(analytic, abs=0.05)

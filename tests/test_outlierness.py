@@ -14,6 +14,7 @@ from outprop import (
     Condition,
     Dataset,
     Explanation,
+    SelectionView,
     density_curve,
     omega,
     outlierness,
@@ -57,7 +58,7 @@ def test_score_fields_are_consistent():
     rng = np.random.default_rng(2)
     db = one_column(rng.normal(0.0, 0.05, 60))
     view = full_view(db)
-    score = outlierness(view, db.schema[0], db.row(7))
+    score = outlierness(view, db.schema[0], 7)
     curve = density_curve(view, db.schema[0])
     above = curve.area_above(score.query_density)
     below = curve.area_below(score.query_density)
@@ -94,15 +95,14 @@ def test_closed_form_raw_matches_curve_area_difference(kind, data):
         [prop, token, level],
     )
     r = data.draw(st.integers(0, n - 1), label="row")
-    o = db.row(r)
     conditions = []
     if data.draw(st.booleans(), label="condition on t"):
-        conditions.append(Condition.equality(1, o[1]))
+        conditions.append(Condition.equality(1, token[r]))
     if data.draw(st.booleans(), label="condition on l"):
         width = data.draw(st.integers(0, 20), label="width") / 10
-        conditions.append(Condition.interval(2, o[2] - width, o[2] + width))
+        conditions.append(Condition.interval(2, level[r] - width, level[r] + width))
     view = select(db, Explanation.of(*conditions))
-    score = outlierness(view, db.schema[0], o)
+    score = outlierness(view, db.schema[0], r)
     curve = density_curve(view, db.schema[0])
     gap = curve.area_above(score.query_density) - curve.area_below(score.query_density)
     # each area sums at most n step segments, none wider than the largest density
@@ -151,7 +151,7 @@ def test_mask_kernel_equals_outlierness_on_the_selection(kind, data):
         scores = _score_masks(db, db.schema[0], r, masks)
     assert len(scores) == m
     for e, (raw, density) in zip(explanations, scores):
-        expected = outlierness(select(db, e), db.schema[0], db.row(r))
+        expected = outlierness(select(db, e), db.schema[0], r)
         assert raw == expected.raw
         assert density == expected.query_density
 
@@ -174,7 +174,7 @@ def test_raw_equals_mean_density_minus_query_density():
         model = fit_numeric(xs)
         densities = parzen_densities(model, xs)
         idx = int(rng.integers(xs.size))
-        score = outlierness(full_view(db), db.schema[0], db.row(idx))
+        score = outlierness(full_view(db), db.schema[0], idx)
         expected = float(densities.mean()) - float(parzen_densities(model, xs[idx]))
         assert score.raw == pytest.approx(expected, abs=1e-10)
 
@@ -182,7 +182,7 @@ def test_raw_equals_mean_density_minus_query_density():
 def test_isolated_value_scores_high():
     values = np.concatenate([np.full(335, 1.0), [0.5]])
     db = one_column(values)
-    score = outlierness(full_view(db), db.schema[0], db.row(335))
+    score = outlierness(full_view(db), db.schema[0], 335)
     assert score.value >= 0.99
 
 
@@ -190,14 +190,14 @@ def test_common_value_scores_zero():
     # the densest value sits above the mean density: raw < 0 clips to 0
     xs = np.concatenate([np.full(50, 0.0) + np.linspace(-0.01, 0.01, 50), [3.0]])
     db = one_column(xs)
-    score = outlierness(full_view(db), db.schema[0], db.row(25))
+    score = outlierness(full_view(db), db.schema[0], 25)
     assert score.raw < 0.0
     assert score.value == 0.0
 
 
 def test_constant_numeric_column_scores_exactly_zero():
     db = one_column(np.full(30, 2.5))
-    score = outlierness(full_view(db), db.schema[0], db.row(0))
+    score = outlierness(full_view(db), db.schema[0], 0)
     assert score.value == 0.0
     assert score.raw == 0.0
 
@@ -206,7 +206,7 @@ def test_constant_numeric_column_scores_exactly_zero():
 def test_identical_floats_with_nonzero_rounded_std_are_constant(values):
     assert np.std(values, ddof=1) > 0.0
     db = one_column(values)
-    score = outlierness(full_view(db), db.schema[0], db.row(0))
+    score = outlierness(full_view(db), db.schema[0], 0)
     assert score.query_density == 1.0
     assert score.raw == 0.0
     assert score.value == 0.0
@@ -217,18 +217,18 @@ def test_identical_floats_with_nonzero_rounded_std_are_constant(values):
 
 def test_constant_categorical_column_scores_exactly_zero():
     db = one_column(["t"] * 12, kind=CATEGORICAL)
-    score = outlierness(full_view(db), db.schema[0], db.row(3))
+    score = outlierness(full_view(db), db.schema[0], 3)
     assert score.value == 0.0
 
 
 def test_categorical_rare_token():
     values = ["a"] * 99 + ["b"]
     db = one_column(values, kind=CATEGORICAL)
-    score = outlierness(full_view(db), db.schema[0], db.row(99))
+    score = outlierness(full_view(db), db.schema[0], 99)
     # mean pmf 0.99^2 + 0.01^2 = 0.9802, query pmf 0.01
     assert score.raw == pytest.approx(0.9702, abs=1e-12)
     assert score.value == pytest.approx(omega(0.9702), abs=1e-15)
-    common = outlierness(full_view(db), db.schema[0], db.row(0))
+    common = outlierness(full_view(db), db.schema[0], 0)
     assert common.value == 0.0
 
 
@@ -238,7 +238,7 @@ def test_score_monotone_in_query_density():
         xs = rng.normal(0.0, 0.1, 40)
         db = one_column(xs)
         view = full_view(db)
-        scores = [outlierness(view, db.schema[0], db.row(r)) for r in range(40)]
+        scores = [outlierness(view, db.schema[0], r) for r in range(40)]
         by_density = sorted(scores, key=lambda s: s.query_density)
         values = [s.value for s in by_density]
         assert all(a >= b for a, b in zip(values, values[1:]))
@@ -252,7 +252,7 @@ def test_property_inside_explanation_is_rejected():
     expl = Explanation.of(Condition.interval(0, 0.0, 1.0))
     view = select(db, expl)
     with pytest.raises(PreconditionError):
-        outlierness(view, db.schema[0], db.row(0))
+        outlierness(view, db.schema[0], 0)
 
 
 def test_object_outside_selection_is_rejected():
@@ -263,7 +263,21 @@ def test_object_outside_selection_is_rejected():
     expl = Explanation.of(Condition.interval(0, 0.0, 0.4))
     view = select(db, expl)
     with pytest.raises(PreconditionError):
-        outlierness(view, db.schema[1], db.row(19))
+        outlierness(view, db.schema[1], 19)
+
+
+@pytest.mark.parametrize("kind", [NUMERIC, CATEGORICAL])
+def test_hand_built_view_rejects_a_row_it_does_not_hold(kind):
+    # every row satisfies the empty explanation; only the view's indices
+    # say that row 9 is not among its rows
+    values = np.linspace(0.0, 1.0, 10) if kind == NUMERIC else list("aabbbccccd")
+    db = one_column(values, kind=kind)
+    view = SelectionView(base=db, indices=np.array([0, 1, 2]), explanation=Explanation.empty())
+    with pytest.raises(PreconditionError):
+        outlierness(view, db.schema[0], 9)
+    # the indices of a hand-built view need not be sorted
+    unsorted = SelectionView(base=db, indices=np.array([2, 0, 1]), explanation=Explanation.empty())
+    assert 0.0 <= outlierness(unsorted, db.schema[0], 0).value <= 1.0
 
 
 def test_empty_selection_is_rejected():
@@ -272,10 +286,9 @@ def test_empty_selection_is_rejected():
     )
     empty = select(db, Explanation.of(Condition.interval(0, 5.0, 6.0)))
     assert len(empty) == 0
-    # a row satisfying x in [5, 6] so the precondition checks pass first
-    o = Dataset.from_arrays(["x", "y"], [NUMERIC, NUMERIC], [[5.5], [0.5]]).row(0)
+    # the size check comes before the membership check
     with pytest.raises(EmptySampleError):
-        outlierness(empty, db.schema[1], o)
+        outlierness(empty, db.schema[1], 0)
 
 
 def test_conditioning_reveals_a_hidden_outlier():
@@ -285,12 +298,11 @@ def test_conditioning_reveals_a_hidden_outlier():
     x = np.concatenate([rng.normal(-1.0, 0.05, 60), rng.normal(1.0, 0.05, 60), [-1.0]])
     y = np.concatenate([rng.normal(0.0, 0.04, 60), rng.normal(0.5, 0.04, 60), [0.5]])
     db = Dataset.from_arrays(["x", "y"], [NUMERIC, NUMERIC], [x, y])
-    o = db.row(120)
-    base = outlierness(full_view(db), db.schema[1], o)
+    base = outlierness(full_view(db), db.schema[1], 120)
     view = select(db, Explanation.of(Condition.interval(0, -1.3, -0.7)))
-    conditioned = outlierness(view, db.schema[1], o)
+    conditioned = outlierness(view, db.schema[1], 120)
     assert base.value <= 0.1
     assert conditioned.value >= 0.9
     # a row outside the selection cannot be scored against it
     with pytest.raises(PreconditionError):
-        outlierness(view, db.schema[1], db.row(70))
+        outlierness(view, db.schema[1], 70)
