@@ -15,6 +15,7 @@ they never perturb the report bytes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -25,10 +26,10 @@ import numpy as np
 from .dataset import Condition, Dataset, Explanation, parse_csv, read_schema_file, select
 from .density import density_curve
 from .errors import Error
-from .intervals import MAX_ITER, TOL, EMConfig
+from .intervals import ANNIHILATION, MAX_ITER, TOL, EMConfig
 from .miner import MiningConfig, MiningResult, explain_one, mine
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 _USAGE_EXIT = 2
 
@@ -51,20 +52,7 @@ def _report_records(db: Dataset, config: dict, result: MiningResult) -> list[dic
         {
             "record": "conditions",
             "items": [_condition_record(db, result.conditions[i]) for i in sorted(result.conditions)],
-            "intervals": [
-                {
-                    "attribute": r.attribute,
-                    "seed": list(r.seed),
-                    "annihilation": r.annihilation,
-                    "iterations": r.iterations,
-                    "components": r.components,
-                    "log_likelihood": r.log_likelihood,
-                    "fell_back": r.fell_back,
-                    "stop_reason": r.stop_reason,
-                    "location_spread": r.location_spread,
-                }
-                for r in result.interval_reports
-            ],
+            "intervals": [dataclasses.asdict(r) for r in result.interval_reports],
         },
     ]
     for pair in result.pairs:
@@ -129,7 +117,7 @@ def _cmd_mine(args) -> int:
         min_support=args.sigma,
         min_score=args.omega,
         max_conditions=args.kmax,
-        em=EMConfig(seed=args.seed, annihilation=args.annihilation),
+        em=EMConfig(seed=args.seed),
     )
     result = mine(db, cfg)
     config = {
@@ -139,7 +127,7 @@ def _cmd_mine(args) -> int:
         "omega": args.omega,
         "kmax": args.kmax,
         "seed": args.seed,
-        "annihilation": args.annihilation,
+        "annihilation": ANNIHILATION,
         "em_tol": TOL,
         "em_max_iter": MAX_ITER,
     }
@@ -243,12 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
             raise argparse.ArgumentTypeError("must be a positive integer")
         return value
 
-    def non_negative_float(text):
-        value = float(text)
-        if not value >= 0.0:
-            raise argparse.ArgumentTypeError("must be a non-negative number")
-        return value
-
     def seed(text):
         try:
             return int(text)
@@ -273,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mine.add_argument("--omega", type=bounded_float("omega", 0.0, 1.0), required=True, help="minimum outlierness score")
     p_mine.add_argument("--kmax", type=positive_int, default=3, help="largest explanation size (default 3)")
     p_mine.add_argument("--seed", type=seed, default=_default_seed(), help="seed for interval discovery (default $OUTPROP_SEED or 0)")
-    p_mine.add_argument("--annihilation", type=non_negative_float, default=1.0, help="component pruning threshold (default 1.0)")
     p_mine.add_argument("--out", help="write the report here instead of stdout")
     p_mine.add_argument("--curves", help="directory for per-pair density cdf TSV files")
     p_mine.add_argument("--tsv", action="store_true", help="tabular report instead of JSON records")

@@ -268,9 +268,12 @@ def _parse_cells(tokens: list[str]) -> list[float | None]:
 
 
 def read_schema_file(path: str) -> dict[str, str]:
-    """Read a sidecar schema file with one ``name:kind`` line per attribute."""
+    """Read a sidecar schema file with one ``name:kind`` line per attribute.
+
+    A UTF-8 byte order mark at the start is skipped, as in the data file.
+    """
     hint: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             for lineno, line in enumerate(fh):
                 line = line.strip()

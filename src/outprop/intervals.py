@@ -2,8 +2,10 @@
 
 A Gaussian mixture is fitted to the column by an EM variant that starts
 from floor(sqrt(n)) components and prunes components whose accumulated
-responsibility falls below a threshold; when every component falls below
-it, one component covering the column takes their place. The fit stops
+responsibility falls below ``ANNIHILATION``, the N/2 of Figueiredo & Jain
+(IEEE TPAMI 24(3), 2002) with N = 2 parameters per 1-D Gaussian. The
+masses sum to n over at most sqrt(n) components, so the largest is at
+least sqrt(n) > 1 and some component always survives. The fit stops
 when the relative log-likelihood gain falls under ``TOL`` or after
 ``MAX_ITER`` iterations. Each row is then assigned to its
 highest-responsibility component, and the natural interval of a value is
@@ -38,7 +40,6 @@ stride and is slower.
 
 from __future__ import annotations
 
-import logging
 import math
 from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -46,9 +47,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateSampleError, PreconditionError
-
-_log = logging.getLogger(__name__)
+from .errors import DegenerateSampleError, PreconditionError
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -59,6 +58,10 @@ _VAR_FLOOR = 1e-9
 # iteration cap of one fit
 TOL = 1e-6
 MAX_ITER = 500
+
+# Responsibility mass a component loses each iteration: N/2 for the
+# N = 2 parameters of a 1-D Gaussian (Figueiredo & Jain, 2002)
+ANNIHILATION = 1.0
 
 # Bytes of the n x k matrix in one block of a row-local pass, small enough
 # for the block to stay in cache across its steps; the same budget as
@@ -77,18 +80,12 @@ IterationHook = Callable[[int, np.ndarray, np.ndarray], None]
 class EMConfig:
     """Knobs for the mixture fit.
 
-    ``seed`` may be an int or a tuple of ints. ``annihilation`` is the
-    responsibility mass below which a component is dropped. The start count
-    floor(sqrt(n)), the convergence threshold ``TOL`` and the iteration cap
-    ``MAX_ITER`` are fixed.
+    ``seed`` may be an int or a tuple of ints. The start count
+    floor(sqrt(n)), the pruning threshold ``ANNIHILATION``, the convergence
+    threshold ``TOL`` and the iteration cap ``MAX_ITER`` are fixed.
     """
 
     seed: int | tuple = 0
-    annihilation: float = 1.0
-
-    def __post_init__(self):
-        if self.annihilation < 0:
-            raise ConfigError("annihilation threshold must be non-negative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,8 +94,7 @@ class MixtureState:
 
     ``assignments[i]`` is the index of row i's highest-responsibility
     component under the final E-step. ``stop_reason`` says why the
-    iterations ended: "tol" (converged), "max_iter" (hit the cap) or
-    "fallback" (every component annihilated).
+    iterations ended: "tol" (converged) or "max_iter" (hit the cap).
     """
 
     locations: np.ndarray = field(repr=False)
@@ -112,10 +108,6 @@ class MixtureState:
     @property
     def components(self) -> int:
         return int(self.weights.size)
-
-    @property
-    def fell_back(self) -> bool:
-        return self.stop_reason == "fallback"
 
     @property
     def location_spread(self) -> float:
@@ -216,18 +208,16 @@ def em_fit(xs: np.ndarray, cfg: EMConfig, iteration_hook: IterationHook | None =
     Notes
     -----
     Each iteration recomputes the component weights from the accumulated
-    responsibilities minus the annihilation threshold, drops components
-    whose weight hits zero (they never come back), refreshes location and
-    spread from the responsibility-weighted moments, then renormalizes the
-    responsibilities. Iterations stop once the relative log-likelihood
-    improvement is non-negative and under ``TOL``, counting only
-    iterations that did not drop a component; the pruning weight rule can
-    make the likelihood dip, and a dip never counts as convergence.
+    responsibilities minus ``ANNIHILATION``, drops components whose
+    weight hits zero (they never come back, and one always survives),
+    refreshes location and spread from the responsibility-weighted
+    moments, then renormalizes the responsibilities. Iterations stop once
+    the relative log-likelihood improvement is non-negative and under
+    ``TOL``, counting only iterations that did not drop a component; the
+    pruning weight rule can make the likelihood dip, and a dip never
+    counts as convergence.
     Without convergence the fit stops after ``MAX_ITER`` iterations with
-    ``stop_reason`` "max_iter". An iteration that annihilates every
-    component gives each row to one component of weight 1, runs the same
-    M-step, checks and E-step on it, and stops with ``stop_reason``
-    "fallback".
+    ``stop_reason`` "max_iter".
     """
     x = np.asarray(xs, dtype=np.float64)
     n = x.size
@@ -258,15 +248,9 @@ def em_fit(xs: np.ndarray, cfg: EMConfig, iteration_hook: IterationHook | None =
         stop_reason = "max_iter"
         for it in range(1, MAX_ITER + 1):
             mass = gamma.sum(axis=0)
-            surplus = np.maximum(mass - cfg.annihilation, 0.0)
-            total = surplus.sum()
-            if not math.isfinite(total):
+            surplus = np.maximum(mass - ANNIHILATION, 0.0)
+            if not math.isfinite(surplus.sum()):
                 raise DegenerateSampleError(_OUT_OF_RANGE)
-            if total == 0.0:
-                _log.warning("all %d components annihilated; falling back to a single component", gamma.shape[1])
-                stop_reason = "fallback"
-                gamma = np.ones((n, 1))
-                mass = surplus = np.array([float(n)])
 
             keep = surplus > 0.0
             dropped = not bool(keep.all())
@@ -291,8 +275,6 @@ def em_fit(xs: np.ndarray, cfg: EMConfig, iteration_hook: IterationHook | None =
             gamma, ll = _responsibilities(x, locations, bandwidths, weights, sq_dev, executor)
             if iteration_hook is not None:
                 iteration_hook(it, weights.copy(), gamma.copy())
-            if stop_reason == "fallback":
-                break
 
             if prev_ll is not None and not dropped:
                 rel = (ll - prev_ll) / max(abs(prev_ll), 1e-300)

@@ -18,7 +18,7 @@ path, used by ``explain_one``.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -85,16 +85,11 @@ class IntervalReport:
 
     attribute: str
     seed: tuple
-    annihilation: float
     iterations: int
     components: int
     log_likelihood: float
     stop_reason: str
     location_spread: float
-
-    @property
-    def fell_back(self) -> bool:
-        return self.stop_reason == "fallback"
 
 
 @dataclass(eq=False)
@@ -141,7 +136,7 @@ def natural_conditions(
             continue
         seed = base_seed + (attr.index,)
         try:
-            state = em_fit(col, replace(cfg.em, seed=seed))
+            state = em_fit(col, EMConfig(seed=seed))
         except DegenerateSampleError as exc:
             raise DegenerateSampleError(f"attribute {attr.name!r}: {exc}") from None
         lo, hi = natural_interval(col, value, state)
@@ -150,7 +145,6 @@ def natural_conditions(
             IntervalReport(
                 attribute=attr.name,
                 seed=seed,
-                annihilation=cfg.em.annihilation,
                 iterations=state.iterations,
                 components=state.components,
                 log_likelihood=state.log_likelihood,

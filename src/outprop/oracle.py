@@ -42,19 +42,25 @@ class OraclePair:
 
 
 def naive_density(xs, h: float, x: float) -> float:
-    """O(n) counting-window density: no sorting, no binary search."""
+    """O(n) counting-window density: no sorting, no binary search.
+
+    A point counts when x - h/2 <= xi <= x + h/2, with the window's ends
+    rounded as ``density.window_counts`` rounds them.
+    """
     if not h > 0:
         raise PreconditionError("naive_density needs a positive bandwidth")
+    half = h / 2.0
     count = 0
     for xi in xs:
-        if abs((x - xi) / h) <= 0.5:
+        if x - half <= xi <= x + half:
             count += 1
     return count / (len(xs) * h)
 
 
 def _naive_densities(xs: np.ndarray, h: float) -> np.ndarray:
     # full O(n^2) pairwise matrix, same window rule as naive_density
-    inside = np.abs((xs[:, None] - xs[None, :]) / h) <= 0.5
+    half = h / 2.0
+    inside = ((xs - half)[:, None] <= xs[None, :]) & (xs[None, :] <= (xs + half)[:, None])
     return inside.sum(axis=1) / (xs.size * h)
 
 

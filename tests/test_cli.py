@@ -68,7 +68,7 @@ def test_mine_report_records(tmp_path):
     records = [json.loads(line) for line in out.read_text().splitlines()]
     meta, conditions = records[0], records[1]
     assert meta["record"] == "meta"
-    assert meta["version"] == 1
+    assert meta["version"] == 2
     assert meta["dataset"] == {"rows": 200, "attributes": 2}
     assert meta["config"]["omega"] == 0.0
     assert meta["config"]["sigma"] == 0.2
@@ -82,8 +82,8 @@ def test_mine_report_records(tmp_path):
     assert [r["attribute"] for r in conditions["intervals"]] == ["A", "u1"]
     assert conditions["intervals"][0]["seed"] == [3, 0]
     for r in conditions["intervals"]:
-        assert r["stop_reason"] in ("tol", "max_iter", "fallback")
-        assert r["fell_back"] == (r["stop_reason"] == "fallback")
+        assert r["stop_reason"] in ("tol", "max_iter")
+        assert "fell_back" not in r and "annihilation" not in r
         assert r["location_spread"] >= 0.0
     pairs = records[2:]
     assert pairs, "omega 0 must report at least the empty-explanation pairs"
@@ -244,17 +244,6 @@ def test_out_of_range_threshold_is_a_usage_error(tmp_path):
     assert err.value.code == 2
 
 
-def test_negative_annihilation_is_a_usage_error(tmp_path, capsys):
-    data = gen_benchmark(tmp_path, size=60)
-    with pytest.raises(SystemExit) as err:
-        run([
-            "mine", "--data", str(data), "--outlier", "59", "--omega", "0.5",
-            "--annihilation", "-1",
-        ])
-    assert err.value.code == 2
-    assert "--annihilation" in capsys.readouterr().err
-
-
 def test_runtime_errors_exit_one(tmp_path, capsys):
     assert run([
         "mine", "--data", str(tmp_path / "missing.csv"), "--outlier", "0", "--omega", "0.5",
@@ -305,6 +294,22 @@ def test_schema_sidecar_forces_categorical(tmp_path):
     items = {i["attribute"]: i for i in records[1]["items"]}
     assert items["code"] == {"attribute": "code", "value": "0"}
     assert "lower" in items["x"]
+
+
+def test_schema_file_may_start_with_a_bom(tmp_path, capsys):
+    csv = tmp_path / "coded.csv"
+    rows = ["c,x"] + [f"{i % 3},{0.01 * i}" for i in range(30)]
+    csv.write_text("\n".join(rows) + "\n")
+    schema = tmp_path / "schema.txt"
+    schema.write_bytes(b"\xef\xbb\xbfc:categorical\n")
+    assert run([
+        "score", "--data", str(csv), "--outlier", "0", "--property", "x",
+        "--cond", "c=0", "--schema", str(schema),
+    ]) == 0
+    out = capsys.readouterr().out
+    # the hint made c categorical, so the equality condition applies
+    assert "explanation: c = 0" in out
+    assert "support: 0.3333333333333333" in out
 
 
 def test_seed_env_variable_sets_the_default(monkeypatch):
@@ -364,21 +369,18 @@ def test_cell_past_the_csv_field_limit_exits_one(tmp_path):
 
 
 OUT_OF_RANGE_COLUMNS = {
-    "squared span overflows": ([1e308, -1e308, 0.0, 5.0], []),
-    "subnormal values": ([1e-320, 0.0, 0.0, 2e-320], []),
-    "variance floor underflows": (np.random.default_rng(0).uniform(-1e-155, 1e-155, 2000).tolist(), []),
-    # both starting components are annihilated at once, and the single
-    # component that takes their place has a variance that underflows to 0
-    "subnormal values, fallback fit": ([1e-320, 0.0, 0.0, 2e-320, 0.0], ["--annihilation", "3"]),
+    "squared span overflows": [1e308, -1e308, 0.0, 5.0],
+    "subnormal values": [1e-320, 0.0, 0.0, 2e-320],
+    "variance floor underflows": np.random.default_rng(0).uniform(-1e-155, 1e-155, 2000).tolist(),
 }
 
 
-@pytest.mark.parametrize("values, flags", OUT_OF_RANGE_COLUMNS.values(), ids=OUT_OF_RANGE_COLUMNS.keys())
+@pytest.mark.parametrize("values", OUT_OF_RANGE_COLUMNS.values(), ids=OUT_OF_RANGE_COLUMNS.keys())
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow it meets
-def test_mixture_fit_out_of_float_range_exits_one(tmp_path, capsys, values, flags):
+def test_mixture_fit_out_of_float_range_exits_one(tmp_path, capsys, values):
     data = tmp_path / "extreme.csv"
     data.write_text("spread\n" + "".join(f"{v!r}\n" for v in values))
-    assert run(["mine", "--data", str(data), "--outlier", "0", "--omega", "0.5", "--kmax", "1", *flags]) == 1
+    assert run(["mine", "--data", str(data), "--outlier", "0", "--omega", "0.5", "--kmax", "1"]) == 1
     captured = capsys.readouterr()
     assert "error: attribute 'spread': mixture fit left the float64 range" in captured.err
     assert "Traceback" not in captured.err

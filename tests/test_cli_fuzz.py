@@ -102,7 +102,6 @@ def invocations(draw):
         flags += ["--omega", draw(mostly(unit, BAD_NUMBERS))]
         flags += option("--kmax", st.integers(1, max(len(header) - 1, 1)).map(str), BAD_INTS)
         flags += option("--seed", st.integers(0, 5).map(str), BAD_INTS)
-        flags += option("--annihilation", st.sampled_from(["0", "0.5", "1", "3"]), BAD_NUMBERS)
         flags += draw(st.sampled_from([[], ["--tsv"]]))
     else:
         flags += ["--property", draw(mostly(st.sampled_from(header), st.just("missing")))]

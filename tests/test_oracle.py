@@ -8,6 +8,7 @@ from outprop.density import fit_numeric, parzen_densities
 from outprop.errors import OracleTooLargeError, PreconditionError
 from outprop.oracle import (
     OracleConfig,
+    _naive_densities,
     _score_column,
     analytic_gaussian_score,
     exhaustive_mine,
@@ -37,10 +38,14 @@ def test_naive_matches_fast_path_exactly():
     for _ in range(20):
         xs = rng.normal(0.0, float(rng.choice([0.05, 1.0])), int(rng.integers(5, 60)))
         model = fit_numeric(xs)
-        for q in rng.uniform(xs.min() - 0.1, xs.max() + 0.1, 50):
-            assert float(parzen_densities(model, q)) == naive_density(
-                list(xs), model.bandwidth, float(q)
-            )
+        h = model.bandwidth
+        # queries that put a sample point on a window edge, or one float off it
+        edges = np.concatenate([xs - h / 2.0, xs + h / 2.0])
+        edge_queries = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+        queries = np.concatenate([rng.uniform(xs.min() - 0.1, xs.max() + 0.1, 50), edge_queries])
+        for q in queries:
+            assert float(parzen_densities(model, q)) == naive_density(list(xs), h, float(q))
+        assert parzen_densities(model, xs).tobytes() == _naive_densities(xs, h).tobytes()
 
 
 def test_score_column_matches_production_scoring():
