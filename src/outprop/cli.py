@@ -233,11 +233,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     def seed(text):
         try:
-            return int(text)
+            value = int(text)
+            if value < 0:
+                raise ValueError
         except ValueError:
             raise argparse.ArgumentTypeError(
-                f"seed must be an integer, got {text!r} (from --seed or $OUTPROP_SEED)"
+                f"seed must be a non-negative integer, got {text!r} (from --seed or $OUTPROP_SEED)"
             ) from None
+        return value
 
     def even_size(text):
         value = int(text)

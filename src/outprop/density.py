@@ -15,12 +15,13 @@ reference the score's closed form is checked against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dataset import NUMERIC, Attribute, SelectionView
-from .errors import DegenerateDensityError, EmptySampleError, InternalError
+from .errors import DegenerateDensityError, DegenerateSampleError, EmptySampleError, InternalError
 
 # Sentinel bandwidth for constant samples; queries against such a model
 # raise, callers decide on the fallback.
@@ -33,14 +34,20 @@ def global_bandwidth(xs: np.ndarray) -> float:
     The standard deviation is the sample one (n - 1 denominator). A sample
     with a single distinct value yields the degenerate bandwidth 0.0; it is
     tested directly, because the std of identical floats can round to a
-    tiny nonzero value.
+    tiny nonzero value. Values so far apart that the width overflows raise
+    ``DegenerateSampleError``.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.size == 0:
         raise EmptySampleError("bandwidth of an empty sample")
     if xs.min() == xs.max():
         return DEGENERATE_BANDWIDTH
-    return 1.06 * float(np.std(xs, ddof=1)) * xs.size ** (-0.2)
+    h = 1.06 * float(np.std(xs, ddof=1)) * xs.size ** (-0.2)
+    if not math.isfinite(h):
+        raise DegenerateSampleError(
+            "density window width left the float64 range; the values are too large"
+        )
+    return h
 
 
 @dataclass(frozen=True, eq=False)

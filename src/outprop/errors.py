@@ -37,7 +37,8 @@ class DegenerateDensityError(Error):
 
 
 class DegenerateSampleError(Error):
-    """Mixture fitting needs at least two distinct values."""
+    """A sample cannot be fitted: too few distinct values, or values that
+    take the mixture fit or the density window out of float64's range."""
 
 
 class PreconditionError(Error):

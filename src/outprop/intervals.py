@@ -64,8 +64,7 @@ MAX_ITER = 500
 ANNIHILATION = 1.0
 
 # Bytes of the n x k matrix in one block of a row-local pass, small enough
-# for the block to stay in cache across its steps; the same budget as
-# outlierness._CHUNK_BYTES
+# for the block to stay in cache across its steps
 _BLOCK_BYTES = 1 << 20
 
 # A column whose values are too large or too close together can take the

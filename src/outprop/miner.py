@@ -10,9 +10,10 @@ minimal explanations are kept; a subset below the support threshold is
 dropped together with all its supersets.
 
 Each level of one property is scored in one call from the candidates' row
-masks (``outlierness._score_masks``); an ``Explanation`` is built only for a
-reported pair. ``outlierness`` on a selection stays the checked reference
-path, used by ``explain_one``.
+masks (``outlierness._score_masks``), which gathers each mask's selection
+and scores it with the scorer ``outlierness`` uses; an ``Explanation`` is
+built only for a reported pair. ``outlierness`` on a selection stays the
+checked reference path, used by ``explain_one``.
 """
 
 from __future__ import annotations

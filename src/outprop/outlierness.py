@@ -12,6 +12,9 @@ member density minus f_o, and the score computes that closed form directly:
 - categorical: with token counts c and c_o rows holding the queried token,
   raw = sum(c^2) / n^2 - c_o / n.
 
+``outlierness`` and ``_score_masks``, the search kernel behind
+``miner.mine``, share one scorer per kind, ``_window_score`` or
+``_token_score``, applied to one selection at a time.
 ``density.density_curve`` builds G itself when it is wanted. The raw
 difference is squashed into [0, 1]; negative differences (the value is
 denser than typical) map to 0.
@@ -84,13 +87,11 @@ def outlierness(view: SelectionView, attribute: Attribute, row: int) -> Outliern
     if not np.any(view.indices == row):
         raise PreconditionError(f"row {row} is not in the selection")
 
+    i = attribute.index
     if attribute.kind == NUMERIC:
-        v = view.base.columns[attribute.index][row]
-        raw, density = _window_score(view.column(attribute.index), v)
+        raw, density = _window_score(view.column(i), view.base.columns[i][row])
     else:
-        counts = np.bincount(view.codes(attribute.index))
-        own = int(counts[view.base.codes[attribute.index][row]])
-        raw, density = _closed_form(int(counts @ counts), own, n, n)
+        raw, density = _token_score(view.codes(i), view.base.codes[i][row])
     return OutliernessScore(value=omega(raw), raw=raw, query_density=density)
 
 
@@ -118,10 +119,10 @@ def _window_score(col: np.ndarray, v: float) -> tuple[float, float]:
     return _closed_form(pairs, own, xs.size, xs.size * h)
 
 
-# Byte budget for the temporaries of one chunk of a categorical level: the
-# stacked masks, their copy in token order, the intp copy of that which
-# reduceat makes, and the token counts.
-_CHUNK_BYTES = 1 << 20
+def _token_score(codes: np.ndarray, code: int) -> tuple[float, float]:
+    """(raw, query density) of token code against a categorical sample."""
+    counts = np.bincount(codes)
+    return _closed_form(int(counts @ counts), int(counts[code]), codes.size, codes.size)
 
 
 def _score_masks(
@@ -132,34 +133,15 @@ def _score_masks(
     The search kernel behind ``miner.mine``. Each mask must hold the
     designated row, as ``outlierness`` requires of a view's rows, so no
     mask is empty. The caller keeps the property out of the conditions
-    behind the masks. Numeric properties are scored mask by mask on the
-    selection in row order. Categorical ones take the token counts of a
-    whole chunk of masks at once: with the rows laid out in token order,
-    each token's rows are one contiguous run of columns.
+    behind the masks. Each mask's selection is gathered in row order and
+    scored with the same per-selection scorer as ``outlierness``.
     """
     for mask in masks:
         if not mask[outlier_index]:
             raise PreconditionError("a mask excludes the designated row")
     if attribute.kind == NUMERIC:
-        col = db.columns[attribute.index]
-        v = float(col[outlier_index])
-        return [_window_score(col.compress(mask), v) for mask in masks]
-    codes = db.codes[attribute.index]
-    order = np.argsort(codes, kind="stable")
-    runs = np.bincount(codes)  # every code occurs, so no run is empty
-    starts = np.concatenate(([0], np.cumsum(runs[:-1])))
-    code = int(codes[outlier_index])
-    rows = max(1, _CHUNK_BYTES // (10 * codes.size + 8 * runs.size))
-    scores = []
-    for lo in range(0, len(masks), rows):
-        stack = np.stack(masks[lo : lo + rows])
-        counts = np.add.reduceat(stack[:, order], starts, axis=1, dtype=np.intp)
-        scores.extend(
-            _closed_form(pairs, own, n, n)
-            for pairs, own, n in zip(
-                np.einsum("ij,ij->i", counts, counts).tolist(),
-                counts[:, code].tolist(),
-                counts.sum(axis=1).tolist(),
-            )
-        )
-    return scores
+        col, score = db.columns[attribute.index], _window_score
+    else:
+        col, score = db.codes[attribute.index], _token_score
+    query = col[outlier_index]
+    return [score(col.compress(mask), query) for mask in masks]

@@ -322,14 +322,27 @@ def test_seed_env_variable_sets_the_default(monkeypatch):
 
 
 def test_malformed_seed_env_variable_is_a_usage_error(monkeypatch, capsys):
-    monkeypatch.setenv("OUTPROP_SEED", "abc")
     mine_args = ["mine", "--data", "d.csv", "--outlier", "0", "--omega", "0.5"]
-    with pytest.raises(SystemExit) as err:
-        run(mine_args)
-    assert err.value.code == 2
-    assert "OUTPROP_SEED" in capsys.readouterr().err
+    for value in ("abc", "-1"):
+        monkeypatch.setenv("OUTPROP_SEED", value)
+        with pytest.raises(SystemExit) as err:
+            run(mine_args)
+        assert err.value.code == 2
+        assert "OUTPROP_SEED" in capsys.readouterr().err
     # an explicit --seed does not read the environment
     assert build_parser().parse_args(mine_args + ["--seed", "5"]).seed == 5
+
+
+def test_negative_seed_is_a_usage_error(tmp_path, capsys):
+    for argv in (
+        ["mine", "--data", "d.csv", "--outlier", "0", "--omega", "0.5", "--seed=-1"],
+        ["gen-unif2", "--out", str(tmp_path / "gen.csv"), "--seed=-1"],
+    ):
+        with pytest.raises(SystemExit) as err:
+            run(argv)
+        assert err.value.code == 2
+        assert "seed must be a non-negative integer, got '-1'" in capsys.readouterr().err
+    assert not (tmp_path / "gen.csv").exists()
 
 
 def mine_process(*args):
@@ -385,6 +398,21 @@ def test_mixture_fit_out_of_float_range_exits_one(tmp_path, capsys, values):
     assert "error: attribute 'spread': mixture fit left the float64 range" in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow it meets
+def test_score_with_an_overflowing_window_exits_one(tmp_path, capsys):
+    data = tmp_path / "extreme.csv"
+    values = OUT_OF_RANGE_COLUMNS["squared span overflows"]
+    data.write_text("spread\n" + "".join(f"{v!r}\n" for v in values))
+    curve = tmp_path / "curve.tsv"
+    argv = ["score", "--data", str(data), "--outlier", "0", "--property", "spread", "--curve", str(curve)]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert "error: density window width left the float64 range" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not curve.exists()
 
 
 def test_out_of_memory_exits_one_with_an_error_line(tmp_path):

@@ -101,7 +101,7 @@ def invocations(draw):
     if command == "mine":
         flags += ["--omega", draw(mostly(unit, BAD_NUMBERS))]
         flags += option("--kmax", st.integers(1, max(len(header) - 1, 1)).map(str), BAD_INTS)
-        flags += option("--seed", st.integers(0, 5).map(str), BAD_INTS)
+        flags += option("--seed", st.integers(-3, 5).map(str), BAD_INTS)
         flags += draw(st.sampled_from([[], ["--tsv"]]))
     else:
         flags += ["--property", draw(mostly(st.sampled_from(header), st.just("missing")))]

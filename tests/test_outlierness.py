@@ -1,6 +1,5 @@
 """The outlierness score: squashing map, areas, preconditions, monotonicity."""
 
-import importlib
 import math
 
 import numpy as np
@@ -24,9 +23,6 @@ from outprop.dataset import condition_mask
 from outprop.density import fit_numeric, parzen_densities
 from outprop.errors import EmptySampleError, PreconditionError
 from outprop.outlierness import _score_masks
-
-# the package exports the function outlierness under the module's name
-outlierness_module = importlib.import_module("outprop.outlierness")
 
 
 def full_view(db):
@@ -123,9 +119,14 @@ def test_mask_kernel_equals_outlierness_on_the_selection(kind, data):
     if kind == "identical floats":
         # the std of [0.1] * 3 rounds to 1.4e-17, not 0
         prop = [data.draw(st.sampled_from([0.1, 0.7]), label="value")] * n
-    elif kind == "lone token":
-        prop = data.draw(_PROPERTY_COLUMNS["categorical"](n), label="property")
-        prop[r] = "z"  # the designated token is held by its own row only
+    elif kind in ("categorical", "lone token"):
+        # twelve tokens, coded by first appearance: a mask that misses the
+        # highest codes counts fewer tokens, and the designated row's token
+        # is at times the highest code
+        prop = data.draw(st.lists(st.sampled_from("abcdefghijkl"), min_size=n, max_size=n),
+                         label="property")
+        if kind == "lone token":
+            prop[r] = "z"  # the designated token is held by its own row only
     else:
         prop = data.draw(_PROPERTY_COLUMNS[kind](n), label="property")
     m = data.draw(st.integers(1, 6), label="masks")
@@ -143,12 +144,7 @@ def test_mask_kernel_equals_outlierness_on_the_selection(kind, data):
     )
     explanations = [Explanation.of(Condition.equality(j + 1, "in")) for j in range(m)]
     masks = [condition_mask(db, e.conditions[0]) for e in explanations]
-    # a small budget splits the level into chunks of a few masks, or of one
-    chunk_bytes = data.draw(st.sampled_from([1, 500, 2000, outlierness_module._CHUNK_BYTES]),
-                            label="chunk bytes")
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(outlierness_module, "_CHUNK_BYTES", chunk_bytes)
-        scores = _score_masks(db, db.schema[0], r, masks)
+    scores = _score_masks(db, db.schema[0], r, masks)
     assert len(scores) == m
     for e, (raw, density) in zip(explanations, scores):
         expected = outlierness(select(db, e), db.schema[0], r)
