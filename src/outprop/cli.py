@@ -81,14 +81,22 @@ def _format_json(records: list[dict]) -> str:
     return "".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n" for r in records)
 
 
+def _tsv_field(text: str) -> str:
+    # quoted as csv.writer quotes, and on a bare carriage return too, which
+    # Python 3.11's csv module leaves unquoted under a "\n" line end
+    if any(c in text for c in '\t\n\r"'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _format_tsv(db: Dataset, result: MiningResult) -> str:
-    lines = ["score\traw\tsupport\tproperty\texplanation"]
+    rows = [("score", "raw", "support", "property", "explanation")]
     for pair in result.pairs:
-        lines.append(
-            f"{pair.score.value!r}\t{pair.score.raw!r}\t{pair.support!r}"
-            f"\t{pair.property.name}\t{pair.explanation.describe(db.schema)}"
-        )
-    return "\n".join(lines) + "\n"
+        rows.append((
+            repr(pair.score.value), repr(pair.score.raw), repr(pair.support),
+            pair.property.name, pair.explanation.describe(db.schema),
+        ))
+    return "".join("\t".join(map(_tsv_field, row)) + "\n" for row in rows)
 
 
 def _load_dataset(args) -> Dataset:
@@ -285,7 +293,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # the fit's and the window's finite checks report a value out of range
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (Error, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

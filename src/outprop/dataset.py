@@ -17,7 +17,7 @@ from typing import IO, Iterable, Iterator
 
 import numpy as np
 
-from .errors import MissingValueError, ParseError, SchemaError
+from .errors import MissingValueError, ParseError, PreconditionError, SchemaError
 
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
@@ -194,25 +194,30 @@ def _encode(col: np.ndarray) -> tuple[dict, np.ndarray]:
 
 @dataclass(frozen=True)
 class SelectionView:
-    """Read-only view of the rows of a dataset that satisfy an explanation."""
+    """Rows of ``base`` that satisfy an explanation, as ``mask``: one bool per row."""
 
     base: Dataset
-    indices: np.ndarray = field(repr=False)
+    mask: np.ndarray = field(repr=False)
     explanation: Explanation
 
+    def __post_init__(self):
+        mask = self.mask
+        if not (isinstance(mask, np.ndarray) and mask.dtype == bool and mask.shape == (self.base.n_rows,)):
+            raise PreconditionError(f"a selection mask must be {self.base.n_rows} bools, one per row")
+
     def __len__(self) -> int:
-        return int(len(self.indices))
+        return int(np.count_nonzero(self.mask))
 
     def column(self, attribute_index: int) -> np.ndarray:
-        return self.base.columns[attribute_index][self.indices]
+        return self.base.columns[attribute_index].compress(self.mask)
 
     def codes(self, attribute_index: int) -> np.ndarray:
         """Integer codes of the selected rows on a categorical attribute."""
-        return self.base.codes[attribute_index][self.indices]
+        return self.base.codes[attribute_index].compress(self.mask)
 
     @property
     def fraction(self) -> float:
-        return len(self.indices) / self.base.n_rows
+        return len(self) / self.base.n_rows
 
 
 def _check_condition(condition: Condition, schema: tuple[Attribute, ...]) -> Attribute:
@@ -240,7 +245,7 @@ def select(db: Dataset, explanation: Explanation) -> SelectionView:
     mask = np.ones(db.n_rows, dtype=bool)
     for condition in explanation:
         mask &= condition_mask(db, condition)
-    return SelectionView(base=db, indices=np.nonzero(mask)[0], explanation=explanation)
+    return SelectionView(base=db, mask=mask, explanation=explanation)
 
 
 # A plain decimal or exponent literal in ASCII digits, or an inf/nan word

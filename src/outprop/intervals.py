@@ -27,21 +27,23 @@ are single-threaded einsum reductions, not BLAS products.
 
 Every row-local pass (normalizing the random start, the squared
 deviations and the whole E-step) runs over blocks of rows of about
-``_BLOCK_BYTES`` each, so a block stays in cache between its steps. Each
-fit starts one worker thread that takes the second half of the blocks
-while the calling thread takes the first half; numpy releases the
-interpreter lock inside each step. A pass writes only its own rows, so
-every value is the same, bit for bit, with or without the worker. The
-column sums (the mass, the location and variance sums) stay whole-matrix
-calls on the calling thread: summing them block by block would change
-their last bits, and splitting them by column reads the matrix with a
-stride and is slower.
+``_BLOCK_BYTES`` each, so a block stays in cache between its steps. A
+pass of two or more blocks starts one worker thread, under the caller's
+``np.errstate``, that takes the second half of the blocks while the
+calling thread takes the first; numpy releases the interpreter lock
+inside each step. A pass writes only its own rows, so every value is the
+same, bit for bit, with or without the worker. The column sums (the
+mass, the location and variance sums) stay whole-matrix calls on the
+calling thread: summing them block by block would change their last
+bits, and splitting them by column reads the matrix with a stride and
+is slower.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
-from concurrent.futures import Executor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -119,48 +121,43 @@ def _each(work, blocks):
         work(rows)
 
 
-def _in_row_blocks(n: int, k: int, work: Callable[[slice], None], executor: Executor | None) -> None:
+def _in_row_blocks(n: int, k: int, work: Callable[[slice], None]) -> None:
     """Call work(rows) on consecutive blocks of rows of an n x k float64 pass.
 
-    With an executor its one worker takes the second half of the blocks
-    while the calling thread takes the first half. Every block writes only
-    its own rows, so the result does not depend on the split.
+    A single block runs inline. Otherwise one worker thread takes the
+    second half of the blocks, in a copy of the caller's context, while
+    the calling thread takes the first half. Leaving the executor waits
+    for the worker, so no buffer is reused while it runs; its exception,
+    if any, surfaces here. Every block writes only its own rows, so the
+    result does not depend on the split.
     """
     step = max(1, _BLOCK_BYTES // (8 * k))
     blocks = [slice(start, start + step) for start in range(0, n, step)]
-    if executor is None or len(blocks) < 2:
+    if len(blocks) < 2:
         _each(work, blocks)
         return
     half = (len(blocks) + 1) // 2
-    future = executor.submit(_each, work, blocks[half:])
-    try:
+    with ThreadPoolExecutor(max_workers=1) as executor:
+        future = executor.submit(contextvars.copy_context().run, _each, work, blocks[half:])
         _each(work, blocks[:half])
-    finally:
-        # the worker must be done with the buffers before anyone reuses
-        # them, and its exception, if any, surfaces here
-        future.result()
+    future.result()
 
 
-def _squared_deviations(x, locations, out=None, executor=None):
-    if out is None:
-        out = np.empty((x.size, locations.size))
-
+def _squared_deviations(x, locations, out):
     def block(rows):
         dev = np.subtract(x[rows, None], locations, out=out[rows])
         np.square(dev, out=dev)
 
-    _in_row_blocks(x.size, locations.size, block, executor)
+    _in_row_blocks(x.size, locations.size, block)
     return out
 
 
-def _responsibilities(x, locations, bandwidths, weights, sq_dev=None, executor=None):
+def _responsibilities(x, locations, bandwidths, weights, sq_dev):
     """Row-normalized w_j * N(x_i; m_j, b_j^2) and the log-likelihood.
 
     ``sq_dev`` holds (x_i - m_j)^2 and is overwritten with the
-    responsibilities, which are returned; without it a new matrix is made.
+    responsibilities, which are returned.
     """
-    if sq_dev is None:
-        sq_dev = _squared_deviations(x, locations, executor=executor)
     gamma = sq_dev
     scale = -0.5 / (bandwidths * bandwidths)
     shift = np.log(weights) - np.log(bandwidths) - 0.5 * _LOG_2PI
@@ -177,7 +174,7 @@ def _responsibilities(x, locations, bandwidths, weights, sq_dev=None, executor=N
         row_norm = np.sum(g, axis=1, out=norm[rows])
         g /= row_norm[:, None]
 
-    _in_row_blocks(x.size, locations.size, block, executor)
+    _in_row_blocks(x.size, locations.size, block)
     return gamma, float(np.sum(np.log(norm)) + np.sum(peak))
 
 
@@ -230,59 +227,54 @@ def em_fit(xs: np.ndarray, cfg: EMConfig, iteration_hook: IterationHook | None =
     k0 = math.isqrt(n)
     rng = np.random.default_rng(cfg.seed)
     gamma = rng.random((n, k0))
-    # one worker thread shares the row-local passes; the column sums stay
-    # on this thread
-    with ThreadPoolExecutor(max_workers=1) as executor:
 
-        def normalize(rows):
-            g = gamma[rows]
-            g /= g.sum(axis=1, keepdims=True)
+    def normalize(rows):
+        g = gamma[rows]
+        g /= g.sum(axis=1, keepdims=True)
 
-        _in_row_blocks(n, k0, normalize, executor)
-        # the second n x k buffer; it trades places with gamma's every
-        # iteration, and the component count only shrinks, so it always fits
-        spare = np.empty(n * k0)
+    _in_row_blocks(n, k0, normalize)
+    # the second n x k buffer; it trades places with gamma's every
+    # iteration, and the component count only shrinks, so it always fits
+    spare = np.empty(n * k0)
 
-        prev_ll = None
-        stop_reason = "max_iter"
-        for it in range(1, MAX_ITER + 1):
-            mass = gamma.sum(axis=0)
-            surplus = np.maximum(mass - ANNIHILATION, 0.0)
-            if not math.isfinite(surplus.sum()):
-                raise DegenerateSampleError(_OUT_OF_RANGE)
+    prev_ll = None
+    stop_reason = "max_iter"
+    for it in range(1, MAX_ITER + 1):
+        mass = gamma.sum(axis=0)
+        surplus = np.maximum(mass - ANNIHILATION, 0.0)
+        if not math.isfinite(surplus.sum()):
+            raise DegenerateSampleError(_OUT_OF_RANGE)
 
-            keep = surplus > 0.0
-            dropped = not bool(keep.all())
-            if dropped:
-                surplus = surplus[keep]
-                mass = mass[keep]
-                kept = spare[: n * mass.size].reshape(n, mass.size)
-                gamma, spare = np.compress(keep, gamma, axis=1, out=kept), gamma.ravel()
-            weights = surplus / surplus.sum()
+        keep = surplus > 0.0
+        dropped = not bool(keep.all())
+        if dropped:
+            surplus = surplus[keep]
+            mass = mass[keep]
+            kept = spare[: n * mass.size].reshape(n, mass.size)
+            gamma, spare = np.compress(keep, gamma, axis=1, out=kept), gamma.ravel()
+        weights = surplus / surplus.sum()
 
-            locations = np.einsum("i,ij->j", x, gamma) / mass
-            sq_dev = _squared_deviations(
-                x, locations, out=spare[: gamma.size].reshape(gamma.shape), executor=executor
-            )
-            variances = np.einsum("ij,ij->j", gamma, sq_dev) / mass
-            bandwidths = np.sqrt(np.maximum(variances, var_floor))
-            finite = np.isfinite(locations).all() and np.isfinite(bandwidths).all()
-            if not (finite and bandwidths.min() > 0.0):
-                raise DegenerateSampleError(_OUT_OF_RANGE)
+        locations = np.einsum("i,ij->j", x, gamma) / mass
+        sq_dev = _squared_deviations(x, locations, spare[: gamma.size].reshape(gamma.shape))
+        variances = np.einsum("ij,ij->j", gamma, sq_dev) / mass
+        bandwidths = np.sqrt(np.maximum(variances, var_floor))
+        finite = np.isfinite(locations).all() and np.isfinite(bandwidths).all()
+        if not (finite and bandwidths.min() > 0.0):
+            raise DegenerateSampleError(_OUT_OF_RANGE)
 
-            spare = gamma.ravel()
-            gamma, ll = _responsibilities(x, locations, bandwidths, weights, sq_dev, executor)
-            if iteration_hook is not None:
-                iteration_hook(it, weights.copy(), gamma.copy())
+        spare = gamma.ravel()
+        gamma, ll = _responsibilities(x, locations, bandwidths, weights, sq_dev)
+        if iteration_hook is not None:
+            iteration_hook(it, weights.copy(), gamma.copy())
 
-            if prev_ll is not None and not dropped:
-                rel = (ll - prev_ll) / max(abs(prev_ll), 1e-300)
-                # a dip is not convergence: the pruning weight rule is not a
-                # proper M-step, so the likelihood may fall; keep iterating
-                if 0.0 <= rel < TOL:
-                    stop_reason = "tol"
-                    break
-            prev_ll = ll
+        if prev_ll is not None and not dropped:
+            rel = (ll - prev_ll) / max(abs(prev_ll), 1e-300)
+            # a dip is not convergence: the pruning weight rule is not a
+            # proper M-step, so the likelihood may fall; keep iterating
+            if 0.0 <= rel < TOL:
+                stop_reason = "tol"
+                break
+        prev_ll = ll
 
     return MixtureState(
         locations=locations, bandwidths=bandwidths, weights=weights,

@@ -11,9 +11,9 @@ dropped together with all its supersets.
 
 Each level of one property is scored in one call from the candidates' row
 masks (``outlierness._score_masks``), which gathers each mask's selection
-and scores it with the scorer ``outlierness`` uses; an ``Explanation`` is
-built only for a reported pair. ``outlierness`` on a selection stays the
-checked reference path, used by ``explain_one``.
+and scores it; an ``Explanation`` is built only for a reported pair.
+``explain_one`` scores its selection's mask through ``outlierness``, so it
+runs the same gather and scorer.
 """
 
 from __future__ import annotations
@@ -192,7 +192,7 @@ def _next_level(
                     joined.append((candidate, mask_a & masks[key_b[-1]]))
     level = []
     for key, mask in joined:
-        sup = np.count_nonzero(mask) / n
+        sup = int(np.count_nonzero(mask)) / n
         if sup >= min_support:
             level.append((key, mask, sup))
     return level

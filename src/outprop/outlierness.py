@@ -12,9 +12,9 @@ member density minus f_o, and the score computes that closed form directly:
 - categorical: with token counts c and c_o rows holding the queried token,
   raw = sum(c^2) / n^2 - c_o / n.
 
-``outlierness`` and ``_score_masks``, the search kernel behind
-``miner.mine``, share one scorer per kind, ``_window_score`` or
-``_token_score``, applied to one selection at a time.
+``outlierness`` scores a view's row mask with ``_score_masks``, the search
+kernel behind ``miner.mine``, which gathers each selection in row order and
+applies one scorer per kind, ``_window_score`` or ``_token_score``.
 ``density.density_curve`` builds G itself when it is wanted. The raw
 difference is squashed into [0, 1]; negative differences (the value is
 denser than typical) map to 0.
@@ -66,8 +66,8 @@ def outlierness(view: SelectionView, attribute: Attribute, row: int) -> Outliern
     attribute : Attribute
         The property being scored. Must not appear in the view's explanation.
     row : int
-        Index of the designated row in ``view.base``. Must be one of
-        ``view.indices``.
+        Index of the designated row in ``view.base``. Must be a selected
+        row of ``view.mask``.
 
     Returns
     -------
@@ -80,18 +80,9 @@ def outlierness(view: SelectionView, attribute: Attribute, row: int) -> Outliern
         raise PreconditionError(
             f"attribute {attribute.name!r} appears in the conditioning explanation"
         )
-    n = len(view)
-    if n == 0:
+    if len(view) == 0:
         raise EmptySampleError("outlierness against an empty selection")
-    # a hand-built view's indices need not be sorted
-    if not np.any(view.indices == row):
-        raise PreconditionError(f"row {row} is not in the selection")
-
-    i = attribute.index
-    if attribute.kind == NUMERIC:
-        raw, density = _window_score(view.column(i), view.base.columns[i][row])
-    else:
-        raw, density = _token_score(view.codes(i), view.base.codes[i][row])
+    ((raw, density),) = _score_masks(view.base, attribute, row, [view.mask])
     return OutliernessScore(value=omega(raw), raw=raw, query_density=density)
 
 
@@ -130,15 +121,14 @@ def _score_masks(
 ) -> list[tuple[float, float]]:
     """(raw, query density) of the designated row against each row mask.
 
-    The search kernel behind ``miner.mine``. Each mask must hold the
-    designated row, as ``outlierness`` requires of a view's rows, so no
-    mask is empty. The caller keeps the property out of the conditions
-    behind the masks. Each mask's selection is gathered in row order and
-    scored with the same per-selection scorer as ``outlierness``.
+    The search kernel behind ``miner.mine`` and ``outlierness``. Each
+    mask must hold the designated row, a row of db, so no mask is empty.
+    The caller keeps the property out of the conditions behind the masks.
+    Each mask's selection is gathered in row order and scored with the
+    scorer of the property's kind.
     """
-    for mask in masks:
-        if not mask[outlier_index]:
-            raise PreconditionError("a mask excludes the designated row")
+    if not 0 <= outlier_index < db.n_rows or not all(mask[outlier_index] for mask in masks):
+        raise PreconditionError(f"row {outlier_index} is not in the selection")
     if attribute.kind == NUMERIC:
         col, score = db.columns[attribute.index], _window_score
     else:

@@ -5,16 +5,18 @@ ragged rows, empty cells, cells past the csv field limit, extreme and
 subnormal numbers), schema sidecar lines, and the ``mine`` and ``score``
 flags. The contract is that ``outprop.cli.main`` returns 0 or 1, or exits
 2 on a usage error, and never lets an exception escape. A JSON ``mine``
-report that exits 0 must be strict JSON, with no NaN or Infinity.
+report that exits 0 must be strict JSON, with no NaN or Infinity; a TSV one
+must parse back into rows of five fields that start with three numbers. A
+warning fails the run, as the test suite's warning filters make it.
 """
 
 import contextlib
+import csv
 import io
 import json
 import tempfile
 from pathlib import Path
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -123,7 +125,6 @@ def _reject_constant(name):
 
 @given(invocations())
 @settings(max_examples=200, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_exits_cleanly_on_any_input(invocation):
     command, data, schema, flags, curves = invocation
     with tempfile.TemporaryDirectory() as tmp:
@@ -144,6 +145,13 @@ def test_cli_exits_cleanly_on_any_input(invocation):
     assert code in (0, 1, 2)
     if code:
         assert err.getvalue().strip(), "a failing exit must say why"
-    elif command == "mine" and "--tsv" not in flags:
+    elif command == "mine" and "--tsv" in flags:
+        header, *rows = csv.reader(io.StringIO(out.getvalue(), newline=""), delimiter="\t")
+        assert header == ["score", "raw", "support", "property", "explanation"]
+        for row in rows:
+            assert len(row) == 5
+            for number in row[:3]:
+                float(number)
+    elif command == "mine":
         for line in out.getvalue().splitlines():
             json.loads(line, parse_constant=_reject_constant)

@@ -15,12 +15,13 @@ from outprop import (
     Condition,
     Dataset,
     Explanation,
+    SelectionView,
     parse_csv,
     read_schema_file,
     select,
 )
 from outprop.dataset import _NUMBER, _parse_cells
-from outprop.errors import MissingValueError, ParseError, SchemaError
+from outprop.errors import MissingValueError, ParseError, PreconditionError, SchemaError
 
 CSV = "x,label,y\n1.5,on,0.25\n2.5,off,0.5\n9.0,on,0.75\n"
 
@@ -168,7 +169,7 @@ def test_condition_interval_is_inclusive():
     db = small_db()
     cond = Condition.interval(0, 1.5, 2.5)
     view = select(db, Explanation.of(cond))
-    assert list(view.indices) == [0, 1]
+    assert list(np.flatnonzero(view.mask)) == [0, 1]
     assert view.fraction == pytest.approx(2 / 3)
 
 
@@ -214,7 +215,7 @@ def test_describe_is_readable():
 def test_select_empty_explanation_returns_all():
     db = small_db()
     view = select(db, Explanation.empty())
-    assert list(view.indices) == [0, 1, 2]
+    assert list(np.flatnonzero(view.mask)) == [0, 1, 2]
     assert view.fraction == 1.0
 
 
@@ -223,8 +224,8 @@ def test_select_is_order_stable_and_idempotent():
     expl = Explanation.of(Condition.equality(1, "on"))
     first = select(db, expl)
     second = select(db, expl)
-    assert list(first.indices) == list(second.indices) == [0, 2]
-    assert np.all(np.diff(first.indices) > 0)
+    assert list(np.flatnonzero(first.mask)) == list(np.flatnonzero(second.mask)) == [0, 2]
+    assert np.all(np.diff(np.flatnonzero(first.mask)) > 0)
 
 
 def test_selection_view_column():
@@ -232,6 +233,12 @@ def test_selection_view_column():
     view = select(db, Explanation.of(Condition.equality(1, "on")))
     np.testing.assert_array_equal(view.column(0), [1.5, 9.0])
     assert len(view) == 2
+
+
+@pytest.mark.parametrize("mask", [[True, False, True], np.array([1, 0, 1]), np.ones(2, dtype=bool)])
+def test_hand_built_view_needs_one_bool_per_row(mask):
+    with pytest.raises(PreconditionError):
+        SelectionView(base=small_db(), mask=mask, explanation=Explanation.empty())
 
 
 def test_select_can_be_empty():

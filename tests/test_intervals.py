@@ -47,6 +47,12 @@ def fit_with_final_responsibilities(xs, cfg):
     return state, gamma
 
 
+def e_step(x, locations, bandwidths, weights):
+    """Responsibilities and log-likelihood from a fresh squared-deviation buffer."""
+    sq_dev = _squared_deviations(x, locations, np.empty((x.size, locations.size)))
+    return _responsibilities(x, locations, bandwidths, weights, sq_dev)
+
+
 def test_fit_shape_and_invariants():
     xs = two_clusters()
     state, gamma = fit_with_final_responsibilities(xs, EMConfig(seed=1))
@@ -83,7 +89,7 @@ def test_invariants_hold_after_every_iteration():
 def test_final_state_is_a_fixed_point_of_the_responsibilities():
     xs = two_clusters(seed=5)
     state, final = fit_with_final_responsibilities(xs, EMConfig(seed=6))
-    gamma, ll = _responsibilities(xs, state.locations, state.bandwidths, state.weights)
+    gamma, ll = e_step(xs, state.locations, state.bandwidths, state.weights)
     np.testing.assert_array_equal(gamma, final)
     assert ll == state.log_likelihood
 
@@ -114,7 +120,7 @@ def test_fused_e_step_matches_the_logsumexp_reference():
         x = np.concatenate([x, tails])
         expected, expected_ll, log_joint = reference_responsibilities(x, locations, bandwidths, weights)
         assert np.all(np.exp(log_joint[-6:]) == 0.0)
-        gamma, ll = _responsibilities(x, locations, bandwidths, weights)
+        gamma, ll = e_step(x, locations, bandwidths, weights)
         np.testing.assert_allclose(gamma, expected, rtol=0.0, atol=1e-12)
         assert ll == pytest.approx(expected_ll, rel=1e-12, abs=0.0)
         assert np.all(np.isfinite(gamma))
@@ -147,13 +153,11 @@ def test_row_blocks_on_two_threads_are_bit_equal_to_whole_matrix_passes(monkeypa
     x, locations, bandwidths, weights = random_mixture(np.random.default_rng(31), 1000, 13)
     expected_sq, expected_gamma, expected_ll = whole_matrix_e_step(x, locations, bandwidths, weights)
     monkeypatch.setattr(intervals, "_BLOCK_BYTES", 8 * 13 * block_rows)
-    with ThreadPoolExecutor(max_workers=1) as executor:
-        for workers in (None, executor):
-            sq_dev = _squared_deviations(x, locations, out=np.empty((1000, 13)), executor=workers)
-            assert sq_dev.tobytes() == expected_sq.tobytes()
-            gamma, ll = _responsibilities(x, locations, bandwidths, weights, sq_dev, workers)
-            assert gamma.tobytes() == expected_gamma.tobytes()
-            assert ll == expected_ll
+    sq_dev = _squared_deviations(x, locations, np.empty((1000, 13)))
+    assert sq_dev.tobytes() == expected_sq.tobytes()
+    gamma, ll = _responsibilities(x, locations, bandwidths, weights, sq_dev)
+    assert gamma.tobytes() == expected_gamma.tobytes()
+    assert ll == expected_ll
 
 
 class InlineExecutor:
@@ -201,9 +205,18 @@ def test_a_worker_exception_reaches_the_caller(monkeypatch):
         if rows.start == 90:
             raise ValueError("last block")
 
-    with ThreadPoolExecutor(max_workers=1) as executor:
-        with pytest.raises(ValueError, match="last block"):
-            _in_row_blocks(100, 1, work, executor)
+    with pytest.raises(ValueError, match="last block"):
+        _in_row_blocks(100, 1, work)
+
+
+def test_the_worker_runs_under_the_caller_s_error_state(monkeypatch):
+    # ten blocks of 100 rows; only the worker's half, the last 500 rows,
+    # overflows when squared
+    monkeypatch.setattr(intervals, "_BLOCK_BYTES", 8 * 13 * 100)
+    x = np.concatenate([np.zeros(500), np.full(500, 1e200)])
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            _squared_deviations(x, np.zeros(13), np.empty((1000, 13)))
 
 
 def test_threaded_e_steps_under_fast_switching_are_bit_equal(monkeypatch):
@@ -213,10 +226,9 @@ def test_threaded_e_steps_under_fast_switching_are_bit_equal(monkeypatch):
     results = []
 
     def repeat():
-        with ThreadPoolExecutor(max_workers=1) as executor:
-            for _ in range(50):
-                gamma, ll = _responsibilities(x, locations, bandwidths, weights, executor=executor)
-                results.append(gamma.tobytes() == expected_gamma.tobytes() and ll == expected_ll)
+        for _ in range(50):
+            gamma, ll = e_step(x, locations, bandwidths, weights)
+            results.append(gamma.tobytes() == expected_gamma.tobytes() and ll == expected_ll)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

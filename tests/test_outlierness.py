@@ -264,16 +264,15 @@ def test_object_outside_selection_is_rejected():
 
 @pytest.mark.parametrize("kind", [NUMERIC, CATEGORICAL])
 def test_hand_built_view_rejects_a_row_it_does_not_hold(kind):
-    # every row satisfies the empty explanation; only the view's indices
-    # say that row 9 is not among its rows
+    # every row satisfies the empty explanation; only the view's mask says
+    # that row 9 is not among its rows, and rows -1 and 10 are in no view
     values = np.linspace(0.0, 1.0, 10) if kind == NUMERIC else list("aabbbccccd")
     db = one_column(values, kind=kind)
-    view = SelectionView(base=db, indices=np.array([0, 1, 2]), explanation=Explanation.empty())
-    with pytest.raises(PreconditionError):
-        outlierness(view, db.schema[0], 9)
-    # the indices of a hand-built view need not be sorted
-    unsorted = SelectionView(base=db, indices=np.array([2, 0, 1]), explanation=Explanation.empty())
-    assert 0.0 <= outlierness(unsorted, db.schema[0], 0).value <= 1.0
+    view = SelectionView(base=db, mask=np.arange(10) < 3, explanation=Explanation.empty())
+    for row in (9, -1, 10):
+        with pytest.raises(PreconditionError, match=f"row {row} is not in the selection"):
+            outlierness(view, db.schema[0], row)
+    assert 0.0 <= outlierness(view, db.schema[0], 0).value <= 1.0
 
 
 def test_empty_selection_is_rejected():
