@@ -1,16 +1,19 @@
 """Density estimation over one column and the cdf of the density values.
 
 Numeric columns use a fixed-width counting window estimator: the density at
-x is the fraction of sample points within h/2 of x, divided by h. The window
-is closed on both ends and h follows the usual normal-reference rule. Lookup
-is O(log n) against a sorted copy of the sample, and ``fit_numeric`` is the
-one place a numeric sample becomes that sorted copy and its width.
-Categorical columns use the relative frequency of each token.
+q is the fraction of sample points in q's window, divided by h, where h
+follows the usual normal-reference rule. A point x and a query q are in
+each other's window when max(x, q) <= fl(min(x, q) + h/2), with the sum
+rounded to float64 once. The rule is symmetric, and because fl(x + h/2) is
+monotone in x, ``window_counts`` counts it exactly with two binary searches
+against a sorted copy of the sample. ``fit_numeric`` is the one place a
+numeric sample becomes that sorted copy and its width. Categorical columns
+use the relative frequency of each token.
 
 The cdf of the per-object density values is an exact step function. The
 outlierness score needs only the mean of those values, so the cdf is built
-only when asked for (``density_curve``); its exact areas remain the
-reference the score's closed form is checked against.
+only when a curve is asked for (``density_curve``); ``oracle`` integrates
+it to check the score's closed form.
 """
 
 from __future__ import annotations
@@ -67,10 +70,14 @@ def fit_numeric(xs: np.ndarray) -> DensityModel:
 
 
 def window_counts(sorted_xs: np.ndarray, queries, h: float):
-    """Sample points within h/2 of each query, both ends of the window closed."""
+    """Sample points x with max(x, q) <= fl(min(x, q) + h/2), for each query q.
+
+    Points at or above q count up to fl(q + h/2); a point x below q counts
+    when fl(x + h/2) >= q, and fl(x + h/2) is sorted like the sample.
+    """
     half = h / 2.0
     hi = np.searchsorted(sorted_xs, queries + half, side="right")
-    return hi - np.searchsorted(sorted_xs, queries - half, side="left")
+    return hi - np.searchsorted(sorted_xs + half, queries, side="left")
 
 
 def parzen_densities(model: DensityModel, xs) -> np.ndarray:
@@ -93,41 +100,6 @@ class StepCDF:
 
     breakpoints: np.ndarray = field(repr=False)
     cumulative: np.ndarray = field(repr=False)
-
-    @property
-    def max_density(self) -> float:
-        return float(self.breakpoints[-1])
-
-    def evaluate(self, f: float) -> float:
-        """Fraction of density values at or below f."""
-        idx = int(np.searchsorted(self.breakpoints, f, side="right")) - 1
-        if idx < 0:
-            return 0.0
-        return float(self.cumulative[idx])
-
-    def area_below(self, f_hi: float) -> float:
-        """Exact integral of the cdf from 0 to f_hi."""
-        bs = self.breakpoints
-        if f_hi <= bs[0]:
-            return 0.0
-        inner = bs[(bs > bs[0]) & (bs < f_hi)]
-        pts = np.concatenate(([bs[0]], inner, [f_hi]))
-        widths = np.diff(pts)
-        levels = np.array([self.evaluate(p) for p in pts[:-1]])
-        return float(np.sum(levels * widths))
-
-    def area_above(self, f_lo: float) -> float:
-        """Exact integral of (1 - cdf) from f_lo to the largest breakpoint."""
-        bs = self.breakpoints
-        hi = bs[-1]
-        if f_lo >= hi:
-            return 0.0
-        start = max(f_lo, 0.0)
-        inner = bs[(bs > start) & (bs < hi)]
-        pts = np.concatenate(([start], inner, [hi]))
-        widths = np.diff(pts)
-        levels = np.array([self.evaluate(p) for p in pts[:-1]])
-        return float(np.sum((1.0 - levels) * widths))
 
     def to_tsv(self) -> str:
         lines = ["density\tcumulative"]

@@ -1,10 +1,13 @@
 """Slow reference implementations used to cross-check the fast paths.
 
-Everything here favors directness over speed: densities are literal sums,
-the score comes from a closed-form identity instead of the step-segment
-integration, candidate explanations are enumerated outright, and the
-analytic Gaussian score is obtained by brute quadrature. None of it shares
-code with the production scoring path beyond the final squashing map.
+Everything here favors directness over speed: densities are literal sums
+over the window predicate, the score comes from the closed-form identity
+raw = mean density - f_o, candidate explanations are enumerated outright,
+and the analytic Gaussian score is obtained by brute quadrature. None of it
+shares code with the production scoring path beyond the final squashing
+map. The long way to the score lives here too: ``evaluate``,
+``area_below`` and ``area_above`` integrate a ``density.StepCDF`` step by
+step, and the tests hold the closed form to their difference.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import CATEGORICAL, Dataset, Explanation
+from .density import StepCDF
 from .errors import OracleTooLargeError, PreconditionError
 from .miner import MiningConfig, natural_conditions
 from .outlierness import omega
@@ -44,24 +48,61 @@ class OraclePair:
 def naive_density(xs, h: float, x: float) -> float:
     """O(n) counting-window density: no sorting, no binary search.
 
-    A point counts when x - h/2 <= xi <= x + h/2, with the window's ends
-    rounded as ``density.window_counts`` rounds them.
+    A point xi counts when max(x, xi) <= min(x, xi) + h/2, the sum rounded
+    to float64 as computed.
     """
     if not h > 0:
         raise PreconditionError("naive_density needs a positive bandwidth")
     half = h / 2.0
     count = 0
     for xi in xs:
-        if x - half <= xi <= x + half:
+        if max(x, xi) <= min(x, xi) + half:
             count += 1
     return count / (len(xs) * h)
 
 
 def _naive_densities(xs: np.ndarray, h: float) -> np.ndarray:
-    # full O(n^2) pairwise matrix, same window rule as naive_density
-    half = h / 2.0
-    inside = ((xs - half)[:, None] <= xs[None, :]) & (xs[None, :] <= (xs + half)[:, None])
+    # full O(n^2) pairwise matrix, same window predicate as naive_density
+    a, b = xs[:, None], xs[None, :]
+    inside = np.maximum(a, b) <= np.minimum(a, b) + h / 2.0
     return inside.sum(axis=1) / (xs.size * h)
+
+
+def max_density(curve: StepCDF) -> float:
+    """Largest density value of the cdf."""
+    return float(curve.breakpoints[-1])
+
+
+def evaluate(curve: StepCDF, f: float) -> float:
+    """Fraction of density values at or below f."""
+    idx = int(np.searchsorted(curve.breakpoints, f, side="right")) - 1
+    if idx < 0:
+        return 0.0
+    return float(curve.cumulative[idx])
+
+
+def area_below(curve: StepCDF, f_hi: float) -> float:
+    """Exact integral of the cdf from 0 to f_hi."""
+    bs = curve.breakpoints
+    if f_hi <= bs[0]:
+        return 0.0
+    inner = bs[(bs > bs[0]) & (bs < f_hi)]
+    pts = np.concatenate(([bs[0]], inner, [f_hi]))
+    levels = np.array([evaluate(curve, p) for p in pts[:-1]])
+    return float(np.sum(levels * np.diff(pts)))
+
+
+def area_above(curve: StepCDF, f_lo: float) -> float:
+    """Exact integral of (1 - cdf) from f_lo to the largest density."""
+    bs = curve.breakpoints
+    hi = bs[-1]
+    if f_lo >= hi:
+        return 0.0
+    start = max(f_lo, 0.0)
+    inner = bs[(bs > start) & (bs < hi)]
+    pts = np.concatenate(([start], inner, [hi]))
+    levels = np.array([evaluate(curve, p) for p in pts[:-1]])
+    return float(np.sum((1.0 - levels) * np.diff(pts)))
 
 
 def _sample_std(xs) -> float:

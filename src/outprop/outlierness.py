@@ -6,11 +6,15 @@ f_o the density at the queried value, the raw score is the area above G past
 f_o minus the area below G before f_o. Those two areas telescope to the mean
 member density minus f_o, and the score computes that closed form directly:
 
-- numeric: with n selected rows, window width h, P ordered pairs of rows
-  within h/2 of each other and c_o rows within h/2 of the queried value,
-  raw = P / (n^2 h) - c_o / (n h);
+- numeric: with n selected rows, window width h, P ordered pairs of rows in
+  each other's window (``density.window_counts`` states the rule) and c_o
+  rows in the queried value's window, raw = P / (n^2 h) - c_o / (n h);
 - categorical: with token counts c and c_o rows holding the queried token,
   raw = sum(c^2) / n^2 - c_o / n.
+
+The window rule is symmetric and every row is in its own window, so P
+counts each unordered pair of distinct rows once from its smaller value:
+with hi_i the rows at or below fl(x_i + h/2), P = 2 sum(hi) - n^2.
 
 ``outlierness`` scores a view's row mask with ``_score_masks``, the search
 kernel behind ``miner.mine``, which gathers each selection in row order and
@@ -105,9 +109,10 @@ def _window_score(col: np.ndarray, v: float) -> tuple[float, float]:
     h, xs = model.bandwidth, model.sorted_values
     if h == dens.DEGENERATE_BANDWIDTH:
         return 0.0, 1.0
-    pairs = int(dens.window_counts(xs, xs, h).sum())
+    m = xs.size
+    pairs = 2 * int(np.searchsorted(xs, xs + h / 2.0, side="right").sum()) - m * m
     own = int(dens.window_counts(xs, float(v), h))
-    return _closed_form(pairs, own, xs.size, xs.size * h)
+    return _closed_form(pairs, own, m, m * h)
 
 
 def _token_score(codes: np.ndarray, code: int) -> tuple[float, float]:

@@ -6,8 +6,10 @@ subnormal numbers), schema sidecar lines, and the ``mine`` and ``score``
 flags. The contract is that ``outprop.cli.main`` returns 0 or 1, or exits
 2 on a usage error, and never lets an exception escape. A JSON ``mine``
 report that exits 0 must be strict JSON, with no NaN or Infinity; a TSV one
-must parse back into rows of five fields that start with three numbers. A
-warning fails the run, as the test suite's warning filters make it.
+must parse back into rows of five fields that start with three numbers. One
+draw in four is a well-formed numeric-and-categorical table mined for TSV
+pair rows. A warning fails the run, as the test suite's warning filters
+make it.
 """
 
 import contextlib
@@ -88,7 +90,25 @@ BAD_INTS = st.sampled_from(["-1", "0", "", "x", "1.5", "99999999999999999999"])
 
 
 @st.composite
+def pair_table(draw):
+    """A well-formed table of one numeric and one categorical column.
+
+    Mined with ``--sigma 0``, a low ``--omega`` and ``--tsv``, it usually
+    reports pairs, so the TSV rows are parsed, not only the header.
+    """
+    n_rows = draw(st.integers(3, 12))
+    xs = draw(st.lists(st.floats(-3, 3), min_size=n_rows, max_size=n_rows))
+    tokens = draw(st.lists(st.sampled_from(["a", "b", "tok"]), min_size=n_rows, max_size=n_rows))
+    data = "x,t\n" + "".join(f"{x!r},{t}\n" for x, t in zip(xs, tokens))
+    flags = ["--outlier", str(draw(st.integers(0, n_rows - 1))), "--sigma", "0"]
+    flags += ["--omega", draw(st.sampled_from(["0", "0.01", "0.1"])), "--tsv"]
+    return "mine", data.encode("utf-8"), None, flags, draw(st.booleans())
+
+
+@st.composite
 def invocations(draw):
+    if draw(st.integers(0, 3)) == 0:
+        return draw(pair_table())
     data, header, n_rows = draw(csv_bytes())
     schema = draw(st.none() | schema_bytes(header))
     command = draw(st.sampled_from(["mine", "score"]))

@@ -15,6 +15,7 @@ from outprop.density import (
     parzen_densities,
 )
 from outprop.errors import DegenerateDensityError, EmptySampleError, InternalError
+from outprop.oracle import area_above, area_below, evaluate, max_density
 
 
 def window_model(xs, h):
@@ -108,7 +109,7 @@ def test_density_cdf_structure():
     np.testing.assert_array_equal(curve.breakpoints, [0.2, 0.5, 1.0])
     np.testing.assert_array_equal(curve.cumulative, [0.5, 0.75, 1.0])
     assert curve.cumulative[-1] == 1.0
-    assert curve.max_density == 1.0
+    assert max_density(curve) == 1.0
 
 
 def test_density_cdf_rejects_bad_input():
@@ -120,12 +121,12 @@ def test_density_cdf_rejects_bad_input():
 
 def test_cdf_evaluate_uses_closed_inequality():
     curve = density_cdf(np.array([0.2, 0.5, 0.2, 1.0]))
-    assert curve.evaluate(0.1) == 0.0
-    assert curve.evaluate(0.2) == 0.5  # ties count: f_i <= f
-    assert curve.evaluate(0.3) == 0.5
-    assert curve.evaluate(0.5) == 0.75
-    assert curve.evaluate(1.0) == 1.0
-    assert curve.evaluate(2.0) == 1.0
+    assert evaluate(curve, 0.1) == 0.0
+    assert evaluate(curve, 0.2) == 0.5  # ties count: f_i <= f
+    assert evaluate(curve, 0.3) == 0.5
+    assert evaluate(curve, 0.5) == 0.75
+    assert evaluate(curve, 1.0) == 1.0
+    assert evaluate(curve, 2.0) == 1.0
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=5.0, allow_nan=False), min_size=1, max_size=30))
@@ -133,9 +134,9 @@ def test_cdf_evaluate_uses_closed_inequality():
 def test_cdf_evaluate_monotone(densities):
     curve = density_cdf(np.array(densities))
     grid = np.linspace(-0.5, 5.5, 40)
-    values = [curve.evaluate(f) for f in grid]
+    values = [evaluate(curve, f) for f in grid]
     assert all(a <= b for a, b in zip(values, values[1:]))
-    assert curve.evaluate(curve.max_density) == 1.0
+    assert evaluate(curve, max_density(curve)) == 1.0
 
 
 def test_cdf_areas_match_quadrature():
@@ -143,14 +144,14 @@ def test_cdf_areas_match_quadrature():
     for _ in range(10):
         densities = rng.uniform(0.0, 3.0, rng.integers(2, 15))
         curve = density_cdf(densities)
-        f = float(rng.uniform(0.0, curve.max_density))
+        f = float(rng.uniform(0.0, max_density(curve)))
         pts = curve.breakpoints.tolist()
-        below, _ = quad(curve.evaluate, curve.breakpoints[0], max(f, curve.breakpoints[0]),
-                        points=pts, limit=200)
-        above, _ = quad(lambda t: 1.0 - curve.evaluate(t), min(f, curve.max_density),
-                        curve.max_density, points=pts, limit=200)
-        assert curve.area_below(f) == pytest.approx(below, abs=1e-10)
-        assert curve.area_above(f) == pytest.approx(above, abs=1e-10)
+        below, _ = quad(lambda t: evaluate(curve, t), curve.breakpoints[0],
+                        max(f, curve.breakpoints[0]), points=pts, limit=200)
+        above, _ = quad(lambda t: 1.0 - evaluate(curve, t), min(f, max_density(curve)),
+                        max_density(curve), points=pts, limit=200)
+        assert area_below(curve, f) == pytest.approx(below, abs=1e-10)
+        assert area_above(curve, f) == pytest.approx(above, abs=1e-10)
 
 
 def test_cdf_area_difference_telescopes_to_mean():
@@ -159,16 +160,16 @@ def test_cdf_area_difference_telescopes_to_mean():
     for _ in range(20):
         densities = rng.uniform(0.0, 2.0, rng.integers(1, 25))
         curve = density_cdf(densities)
-        f = float(rng.uniform(0.0, curve.max_density))
-        gap = curve.area_above(f) - curve.area_below(f)
+        f = float(rng.uniform(0.0, max_density(curve)))
+        gap = area_above(curve, f) - area_below(curve, f)
         assert gap == pytest.approx(float(densities.mean()) - f, abs=1e-12)
 
 
 def test_cdf_areas_outside_range():
     curve = density_cdf(np.array([0.5, 1.5]))
-    assert curve.area_above(2.0) == 0.0
-    assert curve.area_below(0.4) == 0.0
-    assert curve.area_below(0.5) == 0.0
+    assert area_above(curve, 2.0) == 0.0
+    assert area_below(curve, 0.4) == 0.0
+    assert area_below(curve, 0.5) == 0.0
 
 
 def test_cdf_tsv_export():

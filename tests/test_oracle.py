@@ -1,10 +1,15 @@
 """Brute-force reference paths: naive densities, enumeration, analytic score."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from outprop import CATEGORICAL, Dataset, Explanation, MiningConfig, outlierness, select
-from outprop.density import fit_numeric, parzen_densities
+from outprop import density
+from outprop.density import DensityModel, fit_numeric, parzen_densities, window_counts
 from outprop.errors import OracleTooLargeError, PreconditionError
 from outprop.oracle import (
     OracleConfig,
@@ -14,6 +19,7 @@ from outprop.oracle import (
     exhaustive_mine,
     naive_density,
 )
+from outprop.outlierness import _closed_form, _window_score
 
 from conftest import random_dataset
 
@@ -46,6 +52,46 @@ def test_naive_matches_fast_path_exactly():
         for q in queries:
             assert float(parzen_densities(model, q)) == naive_density(list(xs), h, float(q))
         assert parzen_densities(model, xs).tobytes() == _naive_densities(xs, h).tobytes()
+
+
+@st.composite
+def edge_samples(draw):
+    """A small sample with duplicates, a width h, and points on a +- h/2.
+
+    Each edge point is fl(a - h/2) or fl(a + h/2) for a sample value a, or
+    the float next to it on either side.
+    """
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    grid = st.integers(-8, 8).map(lambda k: scale * (1.0 + k / 8.0))
+    loose = st.floats(-10.0, 10.0).map(lambda u: scale * u)
+    xs = draw(st.lists(st.one_of(grid, loose), min_size=1, max_size=8))
+    half = scale * draw(st.floats(1e-3, 2.0)) / 2.0
+    for a in draw(st.lists(st.sampled_from(xs), min_size=1, max_size=4)):
+        for edge in (a - half, a + half):
+            xs.append(draw(st.sampled_from([edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)])))
+    return np.array(draw(st.permutations(xs))), 2.0 * half
+
+
+@given(edge_samples())
+@settings(max_examples=300, deadline=None)
+def test_window_rule_is_symmetric_and_exact_at_the_edges(sample):
+    xs, h = sample
+    for a in xs:
+        for b in xs:
+            # b is in a's window exactly when a is in b's
+            assert naive_density([b], h, float(a)) == naive_density([a], h, float(b))
+    model = DensityModel(sorted_values=np.sort(xs), bandwidth=h)
+    fast = parzen_densities(model, xs)
+    assert fast.tobytes() == _naive_densities(xs, h).tobytes()
+    assert fast.tolist() == [naive_density(list(xs), h, float(q)) for q in xs]
+    # the one-sided pair count equals the two-sided counts summed, at the
+    # same width, so that the constructed points sit on the window edges
+    with mock.patch.object(density, "global_bandwidth", return_value=h):
+        m, sv = xs.size, np.sort(xs)
+        pairs = int(window_counts(sv, sv, h).sum())
+        for v in xs:
+            own = int(window_counts(sv, float(v), h))
+            assert _window_score(xs, v) == _closed_form(pairs, own, m, m * h)
 
 
 def test_score_column_matches_production_scoring():
