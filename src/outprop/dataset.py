@@ -259,17 +259,25 @@ _NUMBER = re.compile(
 _PADDING_OR_GROUPING = "_" + "".join(c for c in map(chr, range(128)) if c.isspace())
 
 
-def _parse_cells(tokens: list[str]) -> list[float | None]:
-    """Each token as a float, or None where it is not a number literal."""
+def _parse_cells(tokens: list[str]) -> list[float]:
+    """The tokens before the first that is not a number literal, as floats."""
     # fast path: an ASCII token without padding or underscores that float()
-    # accepts is exactly a _NUMBER literal
-    joined = "".join(tokens)
-    if joined.isascii() and not any(c in joined for c in _PADDING_OR_GROUPING):
-        try:
-            return list(map(float, tokens))
-        except ValueError:
-            pass
-    return [float(t) if m else None for t, m in zip(tokens, map(_NUMBER.fullmatch, tokens))]
+    # accepts is exactly a _NUMBER literal; a word in the column fails
+    # float() at once, before the whole column is joined
+    try:
+        numbers = list(map(float, tokens))
+    except ValueError:
+        pass
+    else:
+        joined = "".join(tokens)
+        if joined.isascii() and not any(c in joined for c in _PADDING_OR_GROUPING):
+            return numbers
+    numbers = []
+    for t in tokens:
+        if not _NUMBER.fullmatch(t):
+            break
+        numbers.append(float(t))
+    return numbers
 
 
 def read_schema_file(path: str) -> dict[str, str]:
@@ -364,18 +372,18 @@ def parse_csv(source: str | IO[str], hint: dict[str, str] | None = None) -> Data
         tokens = [row[j] for row in cells]
         parsed = _parse_cells(tokens)
         # rows before the first token that is not a number literal
-        numbers = parsed.index(None) if None in parsed else len(parsed)
+        numbers = len(parsed)
         wanted = hint.get(name) if hint else None
         if wanted is None:
-            wanted = NUMERIC if numbers == len(parsed) else CATEGORICAL
+            wanted = NUMERIC if numbers == len(tokens) else CATEGORICAL
         if wanted == NUMERIC:
-            col = np.array(parsed[:numbers], dtype=np.float64)
+            col = np.array(parsed, dtype=np.float64)
             # a non-finite value before the first non-literal is the first fault
             nonfinite = np.flatnonzero(~np.isfinite(col))
             if nonfinite.size:
                 i = int(nonfinite[0])
                 raise ParseError(f"non-finite numeric value {tokens[i]!r}", row=i, column=name)
-            if numbers < len(parsed):
+            if numbers < len(tokens):
                 raise ParseError(f"cannot parse {tokens[numbers]!r} as a number", row=numbers, column=name)
             columns.append(col)
         else:

@@ -9,11 +9,16 @@ that reaches both thresholds is reported and never extended, so only
 minimal explanations are kept; a subset below the support threshold is
 dropped together with all its supersets.
 
-Each level of one property is scored in one call from the candidates' row
-masks (``outlierness._score_masks``), which gathers each mask's selection
-and scores it; an ``Explanation`` is built only for a reported pair.
-``explain_one`` scores its selection's mask through ``outlierness``, so it
-runs the same gather and scorer.
+Every row set is packed: n bits as little-endian uint64 words, row r at
+bit r & 63 of word r >> 6, with the padding bits 0. The condition masks
+are packed once into a d x W matrix, and a level of one property is its
+candidates' keys, an L x W bit matrix and their support counts. The
+Apriori key logic runs in Python; the level's joins are then one AND of
+gathered frontier and condition rows, its supports one popcount, and its
+scores one call of ``outlierness._score_masks`` on the level's bits. An
+``Explanation`` is built only for a reported pair. ``explain_one`` scores
+its selection through ``outlierness``, which packs the selection's mask
+and runs the same kernel.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from .dataset import (
 )
 from .errors import ConfigError, DegenerateSampleError
 from .intervals import EMConfig, em_fit, natural_interval
-from .outlierness import OutliernessScore, _score_masks, omega, outlierness
+from .outlierness import OutliernessScore, _pack_rows, _score_masks, omega, outlierness
 
 
 @dataclass(frozen=True)
@@ -157,30 +162,35 @@ def natural_conditions(
 
 
 def _next_level(
-    frontier: list[tuple[tuple[int, ...], np.ndarray]],
+    keys: list[tuple[int, ...]],
+    bits: np.ndarray,
     vocabulary: list[int],
-    masks: dict[int, np.ndarray],
+    cond_bits: np.ndarray,
+    n: int,
     min_support: float,
-) -> list[tuple[tuple[int, ...], np.ndarray, float]]:
-    """Candidates one condition larger than the frontier's, with their support.
+) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
+    """Candidates one condition larger than the frontier's: keys, packed rows, supports.
 
+    The frontier is its keys and their packed rows, one row of bits per
+    key; row i of cond_bits holds the rows of attribute i's condition, and
+    n is the table's row count.
     Single conditions extend the empty explanation. Larger candidates come
     from joining two frontier keys that share all but their last index, and
     are kept only when every subset one smaller is in the frontier (the
     Apriori rule), so no candidate contains a reported or unsupported set.
+    All joins of the level are one AND, and all supports one popcount.
     Candidates below the support threshold are dropped. Keys are generated,
-    and so kept, in sorted order.
+    and so kept, in sorted order; supports are row counts.
     """
-    n = len(frontier[0][1])
-    if frontier[0][0] == ():
-        joined = [((i,), masks[i]) for i in vocabulary]
+    # each candidate, and the frontier row it extends
+    if keys[0] == ():
+        candidates, rows = [(i,) for i in vocabulary], [0] * len(vocabulary)
     else:
-        frontier_keys = {key for key, _ in frontier}
-        joined = []
-        for a in range(len(frontier)):
-            key_a, mask_a = frontier[a]
-            for b in range(a + 1, len(frontier)):
-                key_b = frontier[b][0]
+        candidates, rows = [], []
+        frontier_keys = set(keys)
+        for a, key_a in enumerate(keys):
+            for b in range(a + 1, len(keys)):
+                key_b = keys[b]
                 if key_a[:-1] != key_b[:-1]:
                     break  # sorted keys: the keys sharing a prefix are one run
                 candidate = key_a + key_b[-1:]
@@ -189,13 +199,13 @@ def _next_level(
                     candidate[:r] + candidate[r + 1 :] in frontier_keys
                     for r in range(len(candidate) - 2)
                 ):
-                    joined.append((candidate, mask_a & masks[key_b[-1]]))
-    level = []
-    for key, mask in joined:
-        sup = int(np.count_nonzero(mask)) / n
-        if sup >= min_support:
-            level.append((key, mask, sup))
-    return level
+                    candidates.append(candidate)
+                    rows.append(a)
+    joined = bits[rows]
+    joined &= cond_bits[[key[-1] for key in candidates]]
+    supports = np.bitwise_count(joined).sum(axis=1)
+    kept = np.flatnonzero(supports / n >= min_support)
+    return [candidates[i] for i in kept], joined[kept], supports[kept]
 
 
 def mine(db: Dataset, cfg: MiningConfig) -> MiningResult:
@@ -216,7 +226,7 @@ def mine(db: Dataset, cfg: MiningConfig) -> MiningResult:
     """
     t0 = time.perf_counter()
     conditions, reports = natural_conditions(db, cfg)
-    masks = {i: condition_mask(db, c) for i, c in conditions.items()}
+    cond_bits = _pack_rows(np.array([condition_mask(db, conditions[a.index]) for a in db.schema]))
     condition_seconds = time.perf_counter() - t0
 
     n = db.n_rows
@@ -228,26 +238,28 @@ def mine(db: Dataset, cfg: MiningConfig) -> MiningResult:
     t1 = time.perf_counter()
     for prop in db.schema:
         vocabulary = [i for i in sorted(conditions) if i != prop.index]
-        # (condition indices, row mask, support) of each candidate of a level
-        level: list[tuple[tuple[int, ...], np.ndarray, float]] = [
-            ((), np.ones(n, dtype=bool), 1.0)
-        ]
+        # a level: each candidate's condition indices, packed rows and support count
+        keys: list[tuple[int, ...]] = [()]
+        bits = _pack_rows(np.ones((1, n), dtype=bool))
+        supports = np.array([n])
         size = 0  # conditions per candidate of the level
-        while level:
-            scores = _score_masks(db, prop, cfg.outlier_index, [mask for _, mask, _ in level])
-            frontier: list[tuple[tuple[int, ...], np.ndarray]] = []
-            for (key, mask, sup), (raw, density) in zip(level, scores):
+        while keys:
+            scores = _score_masks(db, prop, cfg.outlier_index, bits)
+            frontier: list[int] = []
+            for i, (key, count, (raw, density)) in enumerate(zip(keys, supports, scores)):
                 value = omega(raw)
                 if value >= cfg.min_score:
                     # reported and never extended: every superset would be non-minimal
-                    expl = Explanation.of(*(conditions[i] for i in key))
+                    expl = Explanation.of(*(conditions[c] for c in key))
                     score = OutliernessScore(value=value, raw=raw, query_density=density)
-                    pairs.append(ExplanationPropertyPair(expl, prop, score, sup))
+                    pairs.append(ExplanationPropertyPair(expl, prop, score, int(count) / n))
                 else:
-                    frontier.append((key, mask))
+                    frontier.append(i)
             if size == max_size or not frontier:
                 break
-            level = _next_level(frontier, vocabulary, masks, cfg.min_support)
+            keys, bits, supports = _next_level(
+                [keys[i] for i in frontier], bits[frontier], vocabulary, cond_bits, n, cfg.min_support
+            )
             size += 1
     scoring_seconds = time.perf_counter() - t1
 

@@ -16,9 +16,14 @@ The window rule is symmetric and every row is in its own window, so P
 counts each unordered pair of distinct rows once from its smaller value:
 with hi_i the rows at or below fl(x_i + h/2), P = 2 sum(hi) - n^2.
 
-``outlierness`` scores a view's row mask with ``_score_masks``, the search
-kernel behind ``miner.mine``, which gathers each selection in row order and
-applies one scorer per kind, ``_window_score`` or ``_token_score``.
+``outlierness`` packs a view's row mask (``_pack_rows``) and scores it with
+``_score_masks``, the search kernel behind ``miner.mine``, which takes a
+whole level of packed row sets. A categorical property of at most
+``TOKEN_POPCOUNT_MAX`` tokens gets every token count of the level from one
+popcount per token against that token's packed rows, and the counts go to
+the closed form. Any other property has each row set unpacked, its
+selection gathered in row order and scored by the one scorer of its kind,
+``_window_score`` or ``_token_score``.
 ``density.density_curve`` builds G itself when it is wanted. The raw
 difference is squashed into [0, 1]; negative differences (the value is
 denser than typical) map to 0.
@@ -34,6 +39,16 @@ import numpy as np
 from . import density as dens
 from .dataset import NUMERIC, Attribute, Dataset, SelectionView
 from .errors import EmptySampleError, PreconditionError
+
+# A categorical property of at most this many tokens is counted on packed
+# rows, one popcount of the whole level per token; one of more tokens is
+# counted per row set, by unpacking it and taking a bincount of its
+# selection. Median time per level, popcount against bincount, on a shared
+# 2-core x86-64 host with row sets of about n/8 rows: at 4,000 rows and 286
+# row sets 1.35 vs 2.53 ms at 32 tokens, 2.92 vs 3.04 ms at 64; at 20,000
+# rows and 35 row sets 0.82 vs 0.87 ms at 32, 1.60 vs 0.87 ms at 64; at
+# 300,000 rows and 455 row sets 98 vs 171 ms at 32, 280 vs 186 ms at 64.
+TOKEN_POPCOUNT_MAX = 32
 
 
 def omega(x: float) -> float:
@@ -86,7 +101,7 @@ def outlierness(view: SelectionView, attribute: Attribute, row: int) -> Outliern
         )
     if len(view) == 0:
         raise EmptySampleError("outlierness against an empty selection")
-    ((raw, density),) = _score_masks(view.base, attribute, row, [view.mask])
+    ((raw, density),) = _score_masks(view.base, attribute, row, _pack_rows(view.mask[None]))
     return OutliernessScore(value=omega(raw), raw=raw, query_density=density)
 
 
@@ -121,22 +136,65 @@ def _token_score(codes: np.ndarray, code: int) -> tuple[float, float]:
     return _closed_form(int(counts @ counts), int(counts[code]), codes.size, codes.size)
 
 
-def _score_masks(
-    db: Dataset, attribute: Attribute, outlier_index: int, masks: list[np.ndarray]
-) -> list[tuple[float, float]]:
-    """(raw, query density) of the designated row against each row mask.
+def _pack_rows(masks: np.ndarray) -> np.ndarray:
+    """Row masks, n bools on the last axis, as packed rows of W = ceil(n/64) words.
 
-    The search kernel behind ``miner.mine`` and ``outlierness``. Each
-    mask must hold the designated row, a row of db, so no mask is empty.
-    The caller keeps the property out of the conditions behind the masks.
-    Each mask's selection is gathered in row order and scored with the
-    scorer of the property's kind.
+    Row r is bit r & 63 of little-endian uint64 word r >> 6, and the
+    padding bits past row n - 1 are 0, so a popcount counts selected rows.
     """
-    if not 0 <= outlier_index < db.n_rows or not all(mask[outlier_index] for mask in masks):
+    n = masks.shape[-1]
+    words = np.zeros(masks.shape[:-1] + (-(-n // 64),), dtype="<u8")
+    words.view(np.uint8)[..., : -(-n // 8)] = np.packbits(masks, axis=-1, bitorder="little")
+    return words
+
+
+def _score_masks(
+    db: Dataset, attribute: Attribute, outlier_index: int, bits: np.ndarray
+) -> list[tuple[float, float]]:
+    """(raw, query density) of the designated row against each packed row set.
+
+    The search kernel behind ``miner.mine`` and ``outlierness``. bits is an
+    L x W matrix of ``_pack_rows`` rows. Each row set must hold the
+    designated row, a row of db, so none is empty. The caller keeps the
+    property out of the conditions behind the row sets.
+
+    A categorical property of at most ``TOKEN_POPCOUNT_MAX`` tokens is
+    counted with ``_token_popcounts``. Any other property unpacks each row
+    set, gathers its selection in row order and scores it with the scorer
+    of its kind.
+    """
+    n = db.n_rows
+    if not 0 <= outlier_index < n or not np.all(bits[:, outlier_index >> 6] >> (outlier_index & 63) & 1):
         raise PreconditionError(f"row {outlier_index} is not in the selection")
     if attribute.kind == NUMERIC:
         col, score = db.columns[attribute.index], _window_score
-    else:
+    elif db.codes[attribute.index].max() >= TOKEN_POPCOUNT_MAX:
         col, score = db.codes[attribute.index], _token_score
+    else:
+        return _token_popcounts(bits, db.codes[attribute.index], outlier_index)
     query = col[outlier_index]
-    return [score(col.compress(mask), query) for mask in masks]
+    return [
+        score(col.compress(np.unpackbits(words.view(np.uint8), count=n, bitorder="little").view(bool)), query)
+        for words in bits
+    ]
+
+
+def _token_popcounts(bits: np.ndarray, codes: np.ndarray, outlier_index: int) -> list[tuple[float, float]]:
+    """(raw, query density) of the designated row's token against each packed row set.
+
+    The L x T token counts come from one popcount of the whole level
+    against each token's packed rows. Each token's rows are packed for its
+    popcount and then dropped, so no T x W token matrix is held.
+    """
+    buffer = np.empty_like(bits)
+    counts = np.array(
+        [
+            np.bitwise_count(np.bitwise_and(bits, _pack_rows(codes == t), out=buffer)).sum(axis=1)
+            for t in range(int(codes.max()) + 1)
+        ]
+    )
+    squares = (counts * counts).sum(axis=0)
+    return [
+        _closed_form(int(s), int(c), int(m), int(m))
+        for s, c, m in zip(squares, counts[codes[outlier_index]], counts.sum(axis=0))
+    ]

@@ -85,7 +85,9 @@ def test_parse_accepts_only_plain_number_literals():
 @given(st.lists(st.text(alphabet="019.eE+-_ \u0663infINa", min_size=1, max_size=6), min_size=1, max_size=5))
 @settings(max_examples=300, deadline=None)
 def test_whole_column_number_parse_agrees_with_the_literal_pattern(tokens):
-    expected = [float(t) if _NUMBER.fullmatch(t) else None for t in tokens]
+    literal = [float(t) if _NUMBER.fullmatch(t) else None for t in tokens]
+    # only the rows before the first non-literal are parsed
+    expected = literal[: literal.index(None)] if None in literal else literal
     assert list(map(repr, _parse_cells(tokens))) == list(map(repr, expected))
 
 
@@ -114,6 +116,17 @@ def test_numeric_hint_names_the_first_bad_row(cells, row, message):
         parse_csv("x,y\n" + "".join(f"0,{c}\n" for c in cells), hint={"y": NUMERIC})
     assert (err.value.row, err.value.column) == (row, "y")
     assert message in str(err.value)
+
+
+@pytest.mark.parametrize("bad", ["x1", " 3", "1_0"])
+@pytest.mark.parametrize("k", [0, 1, 6, 11])
+def test_numeric_hint_reports_the_row_of_the_first_bad_cell(k, bad):
+    # the cells after row k hold more faults, a non-finite value among them
+    cells = ["2.5"] * k + [bad] + ["zz", "nan", "7"][: 11 - k]
+    with pytest.raises(ParseError) as err:
+        parse_csv("x,y\n" + "".join(f"0,{c}\n" for c in cells), hint={"y": NUMERIC})
+    assert (err.value.row, err.value.column) == (k, "y")
+    assert f"cannot parse {bad!r} as a number" in str(err.value)
 
 
 def test_parse_rejects_empty_and_header_only():

@@ -17,8 +17,11 @@ from outprop import (
     outlierness,
     select,
 )
+from outprop.dataset import condition_mask
 from outprop.errors import ConfigError
+from outprop.miner import _next_level
 from outprop.oracle import exhaustive_mine
+from outprop.outlierness import _pack_rows
 
 from conftest import random_instance
 
@@ -243,3 +246,51 @@ def test_constant_columns_mine_cleanly():
     assert {(p.property.index, p.score.value) for p in result.pairs} == {(0, 0.0), (1, 0.0)}
     assert result.conditions[0] == Condition.interval(0, 1.0, 1.0)
     assert result.interval_reports == []
+
+
+# row counts on both sides of a 64-row word, and designated rows at the
+# first and last bit of a word
+WORD_EDGE_ROWS = [
+    (n, r) for n in (1, 63, 64, 65, 129) for r in sorted({0, 63, 64, n - 1}) if r < n
+]
+
+
+def binary_table(n, r, attributes=5):
+    """Random two-token columns; each mask is a column's rows equal to row r's token."""
+    rng = np.random.default_rng([n, r])
+    columns = [rng.choice(["p", "q"], n, p=[0.7, 0.3]) for _ in range(attributes)]
+    db = Dataset.from_arrays([f"b{j}" for j in range(attributes)], [CATEGORICAL] * attributes, columns)
+    masks = np.array([condition_mask(db, Condition.equality(j, db.columns[j][r])) for j in range(attributes)])
+    return db, masks
+
+
+@pytest.mark.parametrize(("n", "r"), WORD_EDGE_ROWS)
+def test_level_joins_and_supports_at_word_edges_equal_the_bool_masks(n, r):
+    _, masks = binary_table(n, r)
+    cond_bits = _pack_rows(masks)
+    keys, bits = [()], _pack_rows(np.ones((1, n), bool))
+    for size in (1, 2, 3):
+        keys, bits, supports = _next_level(keys, bits, [0, 1, 2, 3, 4], cond_bits, n, 0.0)
+        assert keys and all(len(key) == size for key in keys)
+        for key, words, support in zip(keys, bits, supports):
+            rows = np.logical_and.reduce(masks[list(key)])
+            assert support == np.count_nonzero(rows)
+            np.testing.assert_array_equal(words, _pack_rows(rows))
+    # the support threshold keeps exactly the candidates whose share reaches it
+    level_one = _next_level([()], _pack_rows(np.ones((1, n), bool)), [0, 1, 2, 3, 4], cond_bits, n, 0.5)
+    shares = np.count_nonzero(masks, axis=1) / n
+    assert level_one[0] == [(j,) for j in range(5) if shares[j] >= 0.5]
+
+
+@pytest.mark.parametrize(("n", "r"), WORD_EDGE_ROWS)
+def test_mined_supports_and_scores_at_word_edges_equal_the_selection(n, r):
+    db, _ = binary_table(n, r)
+    cfg = MiningConfig(outlier_index=r, min_support=0.1, min_score=0.2, max_conditions=3)
+    pairs = mine(db, cfg).pairs
+    slow = {(frozenset(p.explanation_attributes), p.property_index) for p in exhaustive_mine(db, cfg)}
+    assert {(p.explanation.attributes, p.property.index) for p in pairs} == slow
+    for pair in pairs:
+        view = select(db, pair.explanation)
+        assert pair.support == np.count_nonzero(view.mask) / n
+        again = outlierness(view, pair.property, r)
+        assert (pair.score.raw, pair.score.query_density) == (again.raw, again.query_density)

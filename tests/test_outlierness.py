@@ -1,5 +1,6 @@
 """The outlierness score: squashing map, areas, preconditions, monotonicity."""
 
+import importlib
 import math
 
 import numpy as np
@@ -23,7 +24,10 @@ from outprop.dataset import condition_mask
 from outprop.density import fit_numeric, parzen_densities
 from outprop.errors import EmptySampleError, PreconditionError
 from outprop.oracle import area_above, area_below, max_density
-from outprop.outlierness import _score_masks
+from outprop.outlierness import _pack_rows, _score_masks, _token_score, _window_score
+
+# the package's ``outlierness`` attribute is the function
+outlierness_module = importlib.import_module("outprop.outlierness")
 
 
 def full_view(db):
@@ -145,7 +149,7 @@ def test_mask_kernel_equals_outlierness_on_the_selection(kind, data):
     )
     explanations = [Explanation.of(Condition.equality(j + 1, "in")) for j in range(m)]
     masks = [condition_mask(db, e.conditions[0]) for e in explanations]
-    scores = _score_masks(db, db.schema[0], r, masks)
+    scores = _score_masks(db, db.schema[0], r, _pack_rows(np.array(masks)))
     assert len(scores) == m
     for e, (raw, density) in zip(explanations, scores):
         expected = outlierness(select(db, e), db.schema[0], r)
@@ -157,9 +161,95 @@ def test_mask_kernel_equals_outlierness_on_the_selection(kind, data):
 def test_mask_kernel_rejects_a_mask_without_the_designated_row(kind):
     db = one_column([0.0, 1.0, 2.0, 2.0] if kind == NUMERIC else list("abbb"), kind=kind)
     mask = np.array([True, True, True, False])
-    assert _score_masks(db, db.schema[0], 2, [mask])
+    assert _score_masks(db, db.schema[0], 2, _pack_rows(np.array([mask])))
     with pytest.raises(PreconditionError):
-        _score_masks(db, db.schema[0], 3, [mask, mask])
+        _score_masks(db, db.schema[0], 3, _pack_rows(np.array([mask, mask])))
+
+
+# row counts on both sides of a 64-row word, and designated rows at the
+# first and last bit of a word
+WORD_EDGE_ROWS = [
+    (n, r) for n in (1, 63, 64, 65, 129) for r in sorted({0, 63, 64, n - 1}) if r < n
+]
+
+
+def word_edge_table(n, r, kind, tokens=4):
+    """A property column plus four selector columns; selector j's "in" rows are mask j.
+
+    The masks are every row, the designated row alone, and two random
+    selections that hold it.
+    """
+    rng = np.random.default_rng([n, r, tokens])
+    if kind == NUMERIC:
+        prop = rng.integers(-5, 6, n) / 4
+    else:
+        # every token appears where n allows it
+        codes = np.concatenate([np.arange(tokens), rng.integers(tokens, size=n)])[:n]
+        prop = np.array([f"t{k}" for k in codes], dtype=object)
+    masks = np.array([np.ones(n, bool), np.arange(n) == r, rng.random(n) < 0.5, rng.random(n) < 0.9])
+    masks[:, r] = True
+    selectors = [np.where(m, "in", "out").astype(object) for m in masks]
+    db = Dataset.from_arrays(["p", *(f"s{j}" for j in range(4))], [kind] + [CATEGORICAL] * 4,
+                             [prop, *selectors])
+    return db, masks
+
+
+def test_packed_rows_put_row_r_at_bit_r_mod_64_of_word_r_div_64_and_zero_the_padding():
+    for n, _ in WORD_EDGE_ROWS:
+        rows = np.random.default_rng(n).random((3, n)) < 0.5
+        bits = _pack_rows(rows)
+        assert bits.shape == (3, -(-n // 64)) and bits.dtype == np.dtype("<u8")
+        for i, r in zip(*np.nonzero(rows)):
+            assert int(bits[i, r >> 6]) >> int(r & 63) & 1
+        np.testing.assert_array_equal(np.bitwise_count(bits).sum(axis=1), np.count_nonzero(rows, axis=1))
+        full = _pack_rows(np.ones(n, bool))
+        assert int(np.bitwise_count(full).sum()) == n
+        assert int(full[-1]) == (1 << (n - 64 * (full.size - 1))) - 1
+
+
+@pytest.mark.parametrize(("n", "r"), WORD_EDGE_ROWS)
+@pytest.mark.parametrize("kind", [NUMERIC, CATEGORICAL])
+def test_packed_kernel_at_word_edges_equals_outlierness_and_the_scorers(n, r, kind):
+    db, masks = word_edge_table(n, r, kind)
+    scores = _score_masks(db, db.schema[0], r, _pack_rows(masks))
+    if kind == NUMERIC:
+        col = db.columns[0]
+        direct = [_window_score(col.compress(m), col[r]) for m in masks]
+    else:
+        codes = db.codes[0]
+        direct = [_token_score(codes.compress(m), codes[r]) for m in masks]
+    assert scores == direct
+    for j, (raw, density) in enumerate(scores):
+        view = select(db, Explanation.of(Condition.equality(j + 1, "in")))
+        np.testing.assert_array_equal(view.mask, masks[j])
+        expected = outlierness(view, db.schema[0], r)
+        assert (raw, density) == (expected.raw, expected.query_density)
+
+
+@pytest.mark.parametrize(("n", "r"), WORD_EDGE_ROWS)
+def test_packed_kernel_checks_the_designated_row_s_own_bit(n, r):
+    db, masks = word_edge_table(n, r, NUMERIC)
+    masks[2, r] = False
+    for row in (r, -1, n, 64 * -(-n // 64)):
+        with pytest.raises(PreconditionError, match=f"row {row} is not in the selection"):
+            _score_masks(db, db.schema[0], row, _pack_rows(masks))
+    assert len(_score_masks(db, db.schema[0], r, _pack_rows(masks[[0, 1, 3]]))) == 3
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+@pytest.mark.parametrize(("n", "r"), [(65, 64), (129, 0), (129, 128)])
+def test_token_counts_are_equal_on_both_sides_of_the_popcount_cut_off(n, r, extra, monkeypatch):
+    tokens = outlierness_module.TOKEN_POPCOUNT_MAX + extra
+    db, masks = word_edge_table(n, r, CATEGORICAL, tokens=tokens)
+    assert int(db.codes[0].max()) + 1 == tokens
+    bits = _pack_rows(masks)
+    codes = db.codes[0]
+    direct = [_token_score(codes.compress(m), codes[r]) for m in masks]
+    assert _score_masks(db, db.schema[0], r, bits) == direct
+    # the same level through the other counter
+    for cut_off in (tokens - 1, tokens):
+        monkeypatch.setattr(outlierness_module, "TOKEN_POPCOUNT_MAX", cut_off)
+        assert _score_masks(db, db.schema[0], r, bits) == direct
 
 
 def test_raw_equals_mean_density_minus_query_density():
