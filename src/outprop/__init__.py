@@ -4,62 +4,79 @@ Given a table and one designated row, this package finds minimal sets of
 per-attribute conditions (explanations) under which some other attribute of
 that row is reported as strongly atypical, together with a bounded
 outlierness score for each finding.
+
+The exported names are resolved on first use, so ``import outprop`` loads
+no numpy. That lets ``outprop.cli`` size numpy's BLAS thread pool before
+numpy starts it.
 """
 
-from .dataset import (
-    CATEGORICAL,
-    NUMERIC,
-    Attribute,
-    Condition,
-    Dataset,
-    Explanation,
-    SelectionView,
-    parse_csv,
-    read_schema_file,
-    select,
-)
-from .density import StepCDF, density_cdf, density_curve, global_bandwidth
-from .intervals import EMConfig, MixtureState, em_fit, natural_interval
-from .miner import (
-    ExplanationPropertyPair,
-    MiningConfig,
-    MiningResult,
-    PairEvaluation,
-    explain_one,
-    mine,
-    natural_conditions,
-)
-from .outlierness import OutliernessScore, omega, outlierness
+import importlib
+import sys
+import types
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Attribute",
-    "CATEGORICAL",
-    "Condition",
-    "Dataset",
-    "EMConfig",
-    "Explanation",
-    "ExplanationPropertyPair",
-    "MiningConfig",
-    "MiningResult",
-    "MixtureState",
-    "NUMERIC",
-    "OutliernessScore",
-    "PairEvaluation",
-    "SelectionView",
-    "StepCDF",
-    "density_cdf",
-    "density_curve",
-    "em_fit",
-    "explain_one",
-    "global_bandwidth",
-    "mine",
-    "natural_conditions",
-    "natural_interval",
-    "omega",
-    "outlierness",
-    "parse_csv",
-    "read_schema_file",
-    "select",
-]
+# each exported name and the submodule that defines it, in ``__all__`` order
+_HOMES = {
+    "Attribute": "dataset",
+    "CATEGORICAL": "dataset",
+    "Condition": "dataset",
+    "Dataset": "dataset",
+    "EMConfig": "intervals",
+    "Explanation": "dataset",
+    "ExplanationPropertyPair": "miner",
+    "MiningConfig": "miner",
+    "MiningResult": "miner",
+    "MixtureState": "intervals",
+    "NUMERIC": "dataset",
+    "OutliernessScore": "outlierness",
+    "PairEvaluation": "miner",
+    "SelectionView": "dataset",
+    "StepCDF": "density",
+    "density_cdf": "density",
+    "density_curve": "density",
+    "em_fit": "intervals",
+    "explain_one": "miner",
+    "global_bandwidth": "density",
+    "mine": "miner",
+    "natural_conditions": "miner",
+    "natural_interval": "intervals",
+    "omega": "outlierness",
+    "outlierness": "outlierness",
+    "parse_csv": "dataset",
+    "read_schema_file": "dataset",
+    "select": "dataset",
+}
+
+__all__ = list(_HOMES)
+
+
+def __getattr__(name):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOMES[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
+
+class _Package(types.ModuleType):
+    """The package's module type: ``outlierness`` names the function.
+
+    Loading the submodule of the same name binds it onto the package; the
+    setter drops that binding, whichever module a process imports first.
+    """
+
+    @property
+    def outlierness(self):
+        return __getattr__("outlierness")
+
+    @outlierness.setter
+    def outlierness(self, value):
+        pass
+
+
+sys.modules[__name__].__class__ = _Package

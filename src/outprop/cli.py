@@ -21,6 +21,11 @@ import os
 import re
 import sys
 
+if "numpy" not in sys.modules:
+    # outprop makes no BLAS call, yet numpy's OpenBLAS starts a pool of
+    # worker threads when numpy loads; a value the user set still wins
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from .dataset import Condition, Dataset, Explanation, parse_csv, read_schema_file, select

@@ -97,18 +97,92 @@ def test_mine_report_records(tmp_path):
     assert scores == sorted(scores, reverse=True)
 
 
-def python(*args, **kwargs):
-    """Run a Python child process that imports this package's sources."""
+def python(*args, env=(), **kwargs):
+    """Run a Python child process that imports this package's sources.
+
+    The child does not inherit OPENBLAS_NUM_THREADS, which importing
+    outprop.cli sets in this process; ``env`` adds variables of its own.
+    """
     src = str(Path(outprop.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, **kwargs)
+    child_env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    child_env.update(env, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=child_env, capture_output=True, text=True, **kwargs)
+
+
+def probe_output(code, **kwargs):
+    out = python("-c", code, **kwargs)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.strip()
 
 
 def test_cli_import_does_not_load_scipy():
     probe = "import sys, outprop.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = python("-c", probe)
-    assert out.returncode == 0
-    assert out.stdout.strip() == "[]"
+    assert probe_output(probe) == "[]"
+
+
+@pytest.mark.parametrize("preset, expected", [({}, "1"), ({"OPENBLAS_NUM_THREADS": "2"}, "2")])
+def test_cli_import_sets_blas_threads_unless_preset(preset, expected):
+    probe = "import os, outprop.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert probe_output(probe, env=preset) == expected
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2,
+    reason="counts the threads in /proc/self/task, where a BLAS pool needs two CPUs",
+)
+def test_cli_import_leaves_the_process_one_thread():
+    probe = "import os, outprop.cli; print(len(os.listdir('/proc/self/task')))"
+    assert probe_output(probe) == "1"
+
+
+def test_package_import_loads_no_numpy():
+    assert probe_output("import sys, outprop; print('numpy' in sys.modules)") == "False"
+
+
+def test_every_export_is_its_defining_modules_object():
+    probe = (
+        "import importlib, outprop\n"
+        "for name in outprop.__all__:\n"
+        "    value = getattr(outprop, name)\n"
+        "    # the attribute kinds are plain strings, defined in outprop.dataset\n"
+        "    home = importlib.import_module(getattr(value, '__module__', 'outprop.dataset'))\n"
+        "    assert getattr(home, name) is value, name\n"
+        "    assert name in dir(outprop), name\n"
+        "print(len(outprop.__all__))"
+    )
+    assert probe_output(probe) == str(len(outprop.__all__))
+
+
+@pytest.mark.parametrize("first", ["", "import outprop.cli", "import outprop.miner", "import outprop.outlierness"])
+def test_package_outlierness_is_the_function(first):
+    probe = (
+        f"import sys, outprop; {first or 'pass'}\n"
+        "print(outprop.outlierness is sys.modules['outprop.outlierness'].outlierness)"
+    )
+    assert probe_output(probe) == "True"
+
+
+def test_blas_pool_size_does_not_change_reports(tmp_path):
+    rng = np.random.default_rng(8)
+    xs = np.concatenate([rng.normal(0.0, 0.1, 60), rng.normal(3.0, 0.1, 60)])
+    xs[0] = 1.5
+    tokens = rng.choice(["ant", "bee", "cat"], xs.size)
+    data = tmp_path / "mixed.csv"
+    data.write_text("x,g\n" + "".join(f"{x!r},{t}\n" for x, t in zip(xs.tolist(), tokens)))
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        mine = ["-m", "outprop.cli", "mine", "--data", str(data), "--outlier", "0", "--omega", "0.0",
+                "--kmax", "2", "--seed", "4"]
+        blas = {"OPENBLAS_NUM_THREADS": threads}
+        assert python(*mine, "--out", str(out / "r.jsonl"), "--curves", str(out / "curves"), env=blas).returncode == 0
+        assert python(*mine, "--tsv", "--out", str(out / "r.tsv"), env=blas).returncode == 0
+        reports.append({p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()})
+    one, two = reports
+    assert one == two
+    assert len(one) > 3  # both reports and at least two curves
+    assert b'"record":"pair"' in one[Path("r.jsonl")]
 
 
 def test_mine_stdout_equals_file_output(tmp_path, capsys):
