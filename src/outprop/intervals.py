@@ -13,37 +13,41 @@ the contiguous run of sorted values around it whose rows share its
 component. Categorical columns skip all of this: their natural condition
 (``miner.natural_conditions``) is equality with the value.
 
-One EM iteration works in two n x k buffers allocated once per fit: the
-responsibilities and a scratch matrix. The M-step writes the squared
-deviations (x - m)^2 into the scratch matrix and takes the variances from
-it; the E-step then turns that same matrix, in place, into the log joint
-log w - log b - (x - m)^2 / (2 b^2) - log(2 pi) / 2 and row-normalizes it
-by a max-shift log-sum-exp: subtract each row's peak, exponentiate, divide
-by the row sum. The log-likelihood is the sum of the logs of the row sums
-plus the sum of the peaks. The peak term is exp(0) = 1, so a row whose
-every joint underflows in linear space still normalizes to finite values.
-The two buffers then swap roles for the next iteration. The weighted sums
-are single-threaded einsum reductions, not BLAS products.
+One EM iteration works in one n x k buffer allocated once per fit: the
+responsibilities. The M-step takes the variances from the squared
+deviations (x - m)^2 one block of rows at a time; the E-step then writes
+the squared deviations into the buffer, in place of the responsibilities,
+turns them into the log joint log w - log b - (x - m)^2 / (2 b^2) -
+log(2 pi) / 2 and row-normalizes it by a max-shift log-sum-exp: subtract
+each row's peak, exponentiate, divide by the row sum. The log-likelihood
+is the sum of the logs of the row sums plus the sum of the peaks. The
+peak term is exp(0) = 1, so a row whose every joint underflows in linear
+space still normalizes to finite values. When components die, their
+columns are squeezed out of the same buffer, block by block. The weighted
+sums are single-threaded einsum reductions, not BLAS products.
 
-Every row-local pass (normalizing the random start, the squared
-deviations and the whole E-step) runs over blocks of rows of about
-``_BLOCK_BYTES`` each, so a block stays in cache between its steps. A
-pass of two or more blocks starts one worker thread, under the caller's
-``np.errstate``, that takes the second half of the blocks while the
-calling thread takes the first; numpy releases the interpreter lock
+Every row-local pass (normalizing the random start and the whole E-step)
+runs over blocks of rows of about ``_BLOCK_BYTES`` each, so a block stays
+in cache between its steps. Where the process may run on two or more
+CPUs, a pass of two or more blocks starts one worker thread, under the
+caller's ``np.errstate``, that takes the second half of the blocks while
+the calling thread takes the first; numpy releases the interpreter lock
 inside each step. A pass writes only its own rows, so every value is the
-same, bit for bit, with or without the worker. The column sums (the
-mass, the location and variance sums) stay whole-matrix calls on the
-calling thread: summing them block by block would change their last
-bits, and splitting them by column reads the matrix with a stride and
-is slower.
+same, bit for bit, with or without the worker. The mass and location sums
+stay whole-matrix calls on the calling thread. The variance sum runs over
+the blocks in row order on the calling thread and carries its running
+column sums from one block to the next: for two or more components that
+adds the same terms in the same order as one whole-matrix einsum, so it
+rounds the same. For one component einsum has a kernel of its own with
+other rounding, so that case keeps the whole-column call.
 """
 
 from __future__ import annotations
 
 import contextvars
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -116,6 +120,19 @@ class MixtureState:
         return float(self.locations.max() - self.locations.min())
 
 
+def _row_blocks(n: int, k: int) -> list[slice]:
+    """Consecutive blocks of rows of an n x k float64 matrix, about _BLOCK_BYTES each."""
+    step = max(1, _BLOCK_BYTES // (8 * k))
+    return [slice(start, min(start + step, n)) for start in range(0, n, step)]
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _each(work, blocks):
     for rows in blocks:
         work(rows)
@@ -124,48 +141,90 @@ def _each(work, blocks):
 def _in_row_blocks(n: int, k: int, work: Callable[[slice], None]) -> None:
     """Call work(rows) on consecutive blocks of rows of an n x k float64 pass.
 
-    A single block runs inline. Otherwise one worker thread takes the
-    second half of the blocks, in a copy of the caller's context, while
-    the calling thread takes the first half. Leaving the executor waits
-    for the worker, so no buffer is reused while it runs; its exception,
-    if any, surfaces here. Every block writes only its own rows, so the
-    result does not depend on the split.
+    On one CPU, or for a single block, every block runs inline. Otherwise
+    one worker thread takes the second half of the blocks, in a copy of
+    the caller's context, while the calling thread takes the first half.
+    The worker is joined before the pass returns, so no buffer is reused
+    while it runs; its exception, if any, is raised here. Every block
+    writes only its own rows, so the result does not depend on the split.
     """
-    step = max(1, _BLOCK_BYTES // (8 * k))
-    blocks = [slice(start, start + step) for start in range(0, n, step)]
-    if len(blocks) < 2:
+    blocks = _row_blocks(n, k)
+    if len(blocks) < 2 or _cpus() < 2:
         _each(work, blocks)
         return
     half = (len(blocks) + 1) // 2
-    with ThreadPoolExecutor(max_workers=1) as executor:
-        future = executor.submit(contextvars.copy_context().run, _each, work, blocks[half:])
+    errors = []
+
+    def second_half():
+        try:
+            _each(work, blocks[half:])
+        except BaseException as exc:  # re-raised on the calling thread
+            errors.append(exc)
+
+    worker = threading.Thread(target=contextvars.copy_context().run, args=(second_half,))
+    worker.start()
+    try:
         _each(work, blocks[:half])
-    future.result()
+    finally:
+        worker.join()
+    if errors:
+        raise errors[0]
 
 
-def _squared_deviations(x, locations, out):
-    def block(rows):
-        dev = np.subtract(x[rows, None], locations, out=out[rows])
-        np.square(dev, out=dev)
+def _variance_sums(x, locations, gamma):
+    """Column sums of gamma * (x - m)^2, rounded as np.einsum("ij,ij->j") rounds them.
 
-    _in_row_blocks(x.size, locations.size, block)
-    return out
-
-
-def _responsibilities(x, locations, bandwidths, weights, sq_dev):
-    """Row-normalized w_j * N(x_i; m_j, b_j^2) and the log-likelihood.
-
-    ``sq_dev`` holds (x_i - m_j)^2 and is overwritten with the
-    responsibilities, which are returned.
+    For two or more columns einsum adds the rows in order, one running sum
+    per column. The blocks square and weigh their deviations in a one-block
+    scratch and carry those running sums on, so no n x k matrix of squared
+    deviations is held. For one column einsum sums with a kernel of its own,
+    which this order would not match, so it gets the n-vector whole.
     """
-    gamma = sq_dev
+    n, k = gamma.shape
+    if k == 1:
+        sq_dev = np.subtract(x[:, None], locations)
+        return np.einsum("ij,ij->j", gamma, np.square(sq_dev, out=sq_dev))
+    blocks = _row_blocks(n, k)
+    scratch = np.empty(blocks[0].stop * k)
+    sums = np.zeros(k)
+    for rows in blocks:
+        g = gamma[rows]
+        terms = np.subtract(x[rows, None], locations, out=scratch[: g.size].reshape(g.shape))
+        np.square(terms, out=terms)
+        terms *= g
+        terms[0] += sums
+        np.sum(terms, axis=0, out=sums)
+    return sums
+
+
+def _drop_columns(flat, gamma, keep):
+    """gamma's kept columns, moved block by block to the front of flat.
+
+    gamma is the front of flat. Rows move in increasing order and land at
+    or before the place they were read from, so no row is overwritten
+    before it is read.
+    """
+    n = gamma.shape[0]
+    k = int(np.count_nonzero(keep))
+    for rows in _row_blocks(n, gamma.shape[1]):
+        block = np.compress(keep, gamma[rows], axis=1)
+        flat[rows.start * k : rows.stop * k] = block.ravel()
+    return flat[: n * k].reshape(n, k)
+
+
+def _responsibilities(x, locations, bandwidths, weights, gamma):
+    """Write the row-normalized w_j * N(x_i; m_j, b_j^2) into gamma; return the log-likelihood.
+
+    ``gamma`` is an n x k matrix; what it held is overwritten.
+    """
     scale = -0.5 / (bandwidths * bandwidths)
     shift = np.log(weights) - np.log(bandwidths) - 0.5 * _LOG_2PI
     peak = np.empty(x.size)
     norm = np.empty(x.size)
 
     def block(rows):
-        g = gamma[rows]
+        g = np.subtract(x[rows, None], locations, out=gamma[rows])
+        np.square(g, out=g)
         g *= scale
         g += shift
         row_peak = np.max(g, axis=1, out=peak[rows])
@@ -175,7 +234,7 @@ def _responsibilities(x, locations, bandwidths, weights, sq_dev):
         g /= row_norm[:, None]
 
     _in_row_blocks(x.size, locations.size, block)
-    return gamma, float(np.sum(np.log(norm)) + np.sum(peak))
+    return float(np.sum(np.log(norm)) + np.sum(peak))
 
 
 def em_fit(xs: np.ndarray, cfg: EMConfig, iteration_hook: IterationHook | None = None) -> MixtureState:
@@ -233,9 +292,9 @@ def em_fit(xs: np.ndarray, cfg: EMConfig, iteration_hook: IterationHook | None =
         g /= g.sum(axis=1, keepdims=True)
 
     _in_row_blocks(n, k0, normalize)
-    # the second n x k buffer; it trades places with gamma's every
-    # iteration, and the component count only shrinks, so it always fits
-    spare = np.empty(n * k0)
+    # the fit's one n x k buffer: the component count only shrinks, so
+    # every later gamma is the front of it
+    flat = gamma.reshape(-1)
 
     prev_ll = None
     stop_reason = "max_iter"
@@ -250,20 +309,17 @@ def em_fit(xs: np.ndarray, cfg: EMConfig, iteration_hook: IterationHook | None =
         if dropped:
             surplus = surplus[keep]
             mass = mass[keep]
-            kept = spare[: n * mass.size].reshape(n, mass.size)
-            gamma, spare = np.compress(keep, gamma, axis=1, out=kept), gamma.ravel()
+            gamma = _drop_columns(flat, gamma, keep)
         weights = surplus / surplus.sum()
 
         locations = np.einsum("i,ij->j", x, gamma) / mass
-        sq_dev = _squared_deviations(x, locations, spare[: gamma.size].reshape(gamma.shape))
-        variances = np.einsum("ij,ij->j", gamma, sq_dev) / mass
+        variances = _variance_sums(x, locations, gamma) / mass
         bandwidths = np.sqrt(np.maximum(variances, var_floor))
         finite = np.isfinite(locations).all() and np.isfinite(bandwidths).all()
         if not (finite and bandwidths.min() > 0.0):
             raise DegenerateSampleError(_OUT_OF_RANGE)
 
-        spare = gamma.ravel()
-        gamma, ll = _responsibilities(x, locations, bandwidths, weights, sq_dev)
+        ll = _responsibilities(x, locations, bandwidths, weights, gamma)
         if iteration_hook is not None:
             iteration_hook(it, weights.copy(), gamma.copy())
 

@@ -120,6 +120,12 @@ def test_cli_import_does_not_load_scipy():
     assert probe_output(probe) == "[]"
 
 
+def test_cli_import_loads_neither_concurrent_futures_nor_logging():
+    # the EM's worker is a plain thread; concurrent.futures would import logging
+    probe = "import sys, outprop.cli; print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+    assert probe_output(probe) == "[]"
+
+
 @pytest.mark.parametrize("preset, expected", [({}, "1"), ({"OPENBLAS_NUM_THREADS": "2"}, "2")])
 def test_cli_import_sets_blas_threads_unless_preset(preset, expected):
     probe = "import os, outprop.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"

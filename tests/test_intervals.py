@@ -1,18 +1,18 @@
 """Self-pruning mixture fit and the natural interval of a value."""
 
 import math
+import os
 import sys
 import threading
 import tracemalloc
-from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from outprop import EMConfig, em_fit, intervals, natural_interval
+from outprop import EMConfig, MixtureState, em_fit, intervals, natural_interval
 from outprop.errors import DegenerateSampleError, PreconditionError
-from outprop.intervals import _in_row_blocks, _responsibilities, _squared_deviations
+from outprop.intervals import _in_row_blocks, _responsibilities, _variance_sums
 
 
 def two_clusters(seed=0, n=50, gap=5.0):
@@ -48,9 +48,14 @@ def fit_with_final_responsibilities(xs, cfg):
 
 
 def e_step(x, locations, bandwidths, weights):
-    """Responsibilities and log-likelihood from a fresh squared-deviation buffer."""
-    sq_dev = _squared_deviations(x, locations, np.empty((x.size, locations.size)))
-    return _responsibilities(x, locations, bandwidths, weights, sq_dev)
+    """Responsibilities and log-likelihood in a fresh n x k buffer."""
+    gamma = np.empty((x.size, locations.size))
+    return gamma, _responsibilities(x, locations, bandwidths, weights, gamma)
+
+
+def allow_cpus(monkeypatch, cpus):
+    """Make the fit see the CPU set cpus, whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
 
 
 def test_fit_shape_and_invariants():
@@ -135,8 +140,7 @@ def random_mixture(rng, n, k):
 def whole_matrix_e_step(x, locations, bandwidths, weights):
     # the same arithmetic as whole-matrix calls: the reference the row
     # blocks must match bit for bit
-    sq_dev = np.square(x[:, None] - locations)
-    gamma = sq_dev.copy()
+    gamma = np.square(x[:, None] - locations)
     gamma *= -0.5 / (bandwidths * bandwidths)
     gamma += np.log(weights) - np.log(bandwidths) - 0.5 * math.log(2.0 * math.pi)
     peak = gamma.max(axis=1)
@@ -144,49 +148,121 @@ def whole_matrix_e_step(x, locations, bandwidths, weights):
     np.exp(gamma, out=gamma)
     norm = gamma.sum(axis=1)
     gamma /= norm[:, None]
-    return sq_dev, gamma, float(np.sum(np.log(norm)) + np.sum(peak))
+    return gamma, float(np.sum(np.log(norm)) + np.sum(peak))
 
 
 @pytest.mark.parametrize("block_rows", [1000, 64, 7, 1])
 def test_row_blocks_on_two_threads_are_bit_equal_to_whole_matrix_passes(monkeypatch, block_rows):
     # 1000 rows fit one block; 64 and 7 leave a partial last block
     x, locations, bandwidths, weights = random_mixture(np.random.default_rng(31), 1000, 13)
-    expected_sq, expected_gamma, expected_ll = whole_matrix_e_step(x, locations, bandwidths, weights)
+    expected_gamma, expected_ll = whole_matrix_e_step(x, locations, bandwidths, weights)
     monkeypatch.setattr(intervals, "_BLOCK_BYTES", 8 * 13 * block_rows)
-    sq_dev = _squared_deviations(x, locations, np.empty((1000, 13)))
-    assert sq_dev.tobytes() == expected_sq.tobytes()
-    gamma, ll = _responsibilities(x, locations, bandwidths, weights, sq_dev)
+    allow_cpus(monkeypatch, {0, 1})
+    gamma, ll = e_step(x, locations, bandwidths, weights)
     assert gamma.tobytes() == expected_gamma.tobytes()
     assert ll == expected_ll
 
 
-class InlineExecutor:
-    """Runs each submitted task at once on the calling thread."""
+@pytest.mark.parametrize("block_rows", [1000, 64, 7, 1])
+@pytest.mark.parametrize("k", [1, 2, 3, 141])
+def test_carried_variance_sums_are_bit_equal_to_einsum(monkeypatch, k, block_rows):
+    monkeypatch.setattr(intervals, "_BLOCK_BYTES", 8 * k * block_rows)
+    rng = np.random.default_rng(37)
+    for n in (50, 1000, 5000):
+        x, locations, _, _ = random_mixture(rng, n, k)
+        gamma = rng.random((n, k))
+        gamma /= gamma.sum(axis=1, keepdims=True)
+        expected = np.einsum("ij,ij->j", gamma, np.square(x[:, None] - locations))
+        assert _variance_sums(x, locations, gamma).tobytes() == expected.tobytes(), n
 
-    def __init__(self, max_workers):
-        pass
 
-    def __enter__(self):
-        return self
+def two_buffer_em_fit(xs, cfg):
+    """em_fit written as whole-matrix calls on a second n x k matrix.
 
-    def __exit__(self, *exc_info):
-        return False
+    The squared deviations get their own matrix, a drop copies the kept
+    columns into a new one, and the variance sum is one einsum. em_fit must
+    match it bit for bit.
+    """
+    x = np.asarray(xs, dtype=np.float64)
+    n = x.size
+    span = float(x.max() - x.min())
+    var_floor = intervals._VAR_FLOOR * span * span
+    gamma = np.random.default_rng(cfg.seed).random((n, math.isqrt(n)))
+    gamma /= gamma.sum(axis=1, keepdims=True)
+    prev_ll = None
+    stop_reason = "max_iter"
+    for it in range(1, intervals.MAX_ITER + 1):
+        mass = gamma.sum(axis=0)
+        surplus = np.maximum(mass - intervals.ANNIHILATION, 0.0)
+        keep = surplus > 0.0
+        dropped = not keep.all()
+        if dropped:
+            gamma, surplus, mass = np.compress(keep, gamma, axis=1), surplus[keep], mass[keep]
+        weights = surplus / surplus.sum()
+        locations = np.einsum("i,ij->j", x, gamma) / mass
+        sq_dev = np.square(x[:, None] - locations)
+        variances = np.einsum("ij,ij->j", gamma, sq_dev) / mass
+        bandwidths = np.sqrt(np.maximum(variances, var_floor))
+        gamma, ll = whole_matrix_e_step(x, locations, bandwidths, weights)
+        if prev_ll is not None and not dropped:
+            rel = (ll - prev_ll) / max(abs(prev_ll), 1e-300)
+            if 0.0 <= rel < intervals.TOL:
+                stop_reason = "tol"
+                break
+        prev_ll = ll
+    return MixtureState(
+        locations=locations, bandwidths=bandwidths, weights=weights,
+        assignments=np.argmax(gamma, axis=1), iterations=it,
+        log_likelihood=ll, stop_reason=stop_reason,
+    )
 
-    def submit(self, fn, *args):
-        future = Future()
-        future.set_result(fn(*args))
-        return future
+
+def mixed_gap_column():
+    """A 20,000-row column shaped like the benchmark's x_gap2: two uniform clusters."""
+    rng = np.random.default_rng(43)
+    left = rng.random(20000) < 0.5
+    return np.where(left, rng.uniform(-3.0, -1.0, 20000), rng.uniform(1.0, 3.0, 20000))
+
+
+@pytest.mark.parametrize("column, seeds, block_bytes, components", [
+    # every seed ends at one component, where einsum's variance sum has
+    # rounding of its own
+    pytest.param(lambda: np.random.default_rng(0).random(7), range(6), None, {1}, id="seven-rows"),
+    # 70 components dropping to 62, 35 and 24, over blocks of 300 rows at k = 70
+    pytest.param(lambda: np.random.default_rng(0).exponential(size=5000) ** 4, range(3), 8 * 70 * 300,
+                 {62, 35, 24}, id="exponential-5000"),
+    pytest.param(mixed_gap_column, [0], None, {141}, id="mixed-gap"),
+])
+def test_fit_is_bit_equal_to_the_two_buffer_fit(monkeypatch, column, seeds, block_bytes, components):
+    if block_bytes is not None:
+        monkeypatch.setattr(intervals, "_BLOCK_BYTES", block_bytes)
+    allow_cpus(monkeypatch, {0, 1})
+    xs = column()
+    seen = set()
+    for seed in seeds:
+        got, expected = em_fit(xs, EMConfig(seed=seed)), two_buffer_em_fit(xs, EMConfig(seed=seed))
+        for name in ("assignments", "locations", "bandwidths", "weights"):
+            assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), (seed, name)
+        assert (got.log_likelihood, got.iterations, got.stop_reason) == (
+            expected.log_likelihood, expected.iterations, expected.stop_reason,
+        ), seed
+        seen.add(got.components)
+    assert seen == components
 
 
 def test_fit_is_bit_equal_with_one_worker_and_with_two(monkeypatch):
     xs = np.random.default_rng(33).normal(0.0, 1.0, 20000)
     fits = []
     threads = threading.active_count()
-    # the inline executor runs the worker's half of the blocks on the
-    # calling thread, before the caller's half
-    for executor_class in (InlineExecutor, ThreadPoolExecutor):
-        monkeypatch.setattr(intervals, "ThreadPoolExecutor", executor_class)
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or start(self))
+    # on one CPU every block runs on the calling thread
+    for cpus, workers in (({0}, False), ({0, 1}, True)):
+        allow_cpus(monkeypatch, cpus)
+        started.clear()
         fits.append(fit_with_final_responsibilities(xs, EMConfig(seed=2)))
+        assert bool(started) == workers
         assert threading.active_count() == threads
     (one, gamma_one), (two, gamma_two) = fits
     assert gamma_one.tobytes() == gamma_two.tobytes()
@@ -200,6 +276,7 @@ def test_fit_is_bit_equal_with_one_worker_and_with_two(monkeypatch):
 def test_a_worker_exception_reaches_the_caller(monkeypatch):
     # ten blocks of ten rows; the worker takes the last five
     monkeypatch.setattr(intervals, "_BLOCK_BYTES", 80)
+    allow_cpus(monkeypatch, {0, 1})
 
     def work(rows):
         if rows.start == 90:
@@ -213,16 +290,18 @@ def test_the_worker_runs_under_the_caller_s_error_state(monkeypatch):
     # ten blocks of 100 rows; only the worker's half, the last 500 rows,
     # overflows when squared
     monkeypatch.setattr(intervals, "_BLOCK_BYTES", 8 * 13 * 100)
+    allow_cpus(monkeypatch, {0, 1})
     x = np.concatenate([np.zeros(500), np.full(500, 1e200)])
     with np.errstate(over="raise"):
         with pytest.raises(FloatingPointError):
-            _squared_deviations(x, np.zeros(13), np.empty((1000, 13)))
+            e_step(x, np.zeros(13), np.ones(13), np.full(13, 1 / 13))
 
 
 def test_threaded_e_steps_under_fast_switching_are_bit_equal(monkeypatch):
     x, locations, bandwidths, weights = random_mixture(np.random.default_rng(35), 3000, 29)
-    _, expected_gamma, expected_ll = whole_matrix_e_step(x, locations, bandwidths, weights)
+    expected_gamma, expected_ll = whole_matrix_e_step(x, locations, bandwidths, weights)
     monkeypatch.setattr(intervals, "_BLOCK_BYTES", 8 * 29 * 50)
+    allow_cpus(monkeypatch, {0, 1})
     results = []
 
     def repeat():
@@ -242,9 +321,13 @@ def test_threaded_e_steps_under_fast_switching_are_bit_equal(monkeypatch):
     assert results == [True] * 50
 
 
-def test_fit_peak_memory_is_within_three_n_by_k_matrices():
-    n = 20000
-    xs = np.random.default_rng(23).normal(0.0, 1.0, n)
+@pytest.mark.parametrize("xs, components", [
+    (np.random.default_rng(23).normal(0.0, 1.0, 20000), 141),
+    # components die, so the buffer is squeezed in place
+    (np.random.default_rng(0).exponential(size=20000) ** 4, 123),
+], ids=["normal", "dropping"])
+def test_fit_peak_memory_is_one_n_by_k_matrix_and_two_blocks(xs, components):
+    n = xs.size
     k0 = math.isqrt(n)
     tracemalloc.start()
     try:
@@ -253,7 +336,8 @@ def test_fit_peak_memory_is_within_three_n_by_k_matrices():
     finally:
         tracemalloc.stop()
     assert state.assignments.shape == (n,)
-    assert peak <= 3 * n * k0 * 8
+    assert state.components == components
+    assert peak <= n * k0 * 8 + 2 * intervals._BLOCK_BYTES + 4 * n * 8
 
 
 def test_same_seed_same_fit():
