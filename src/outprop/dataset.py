@@ -5,6 +5,11 @@ either numeric (finite floats) or categorical (opaque tokens). Conditions
 restrict one attribute each; an explanation is a set of conditions with at
 most one condition per attribute. Selecting with an explanation yields a
 read-only view of the matching rows in their original order.
+
+``parse_csv`` reads a table in chunks of rows and never holds it as rows of
+strings: each chunk's cells are coded (categorical) or parsed (numeric)
+column by column, into one growing buffer per column, and a parsed
+categorical column holds one ``str`` object per distinct token.
 """
 
 from __future__ import annotations
@@ -12,8 +17,9 @@ from __future__ import annotations
 import csv
 import io
 import re
+from array import array
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -117,10 +123,30 @@ class Dataset:
     are object arrays of tokens. Rows are a multiset: duplicates are kept.
     Each categorical column is also held as integer codes into a vocabulary
     of its distinct tokens, numbered in order of first appearance, so
-    equality masks and token counts run on integers.
+    equality masks and token counts run on integers. Tokens that compare
+    equal share a code (``1``, ``True`` and ``1.0`` do) but each row keeps
+    the object it was given; a column built by ``parse_csv`` holds one
+    ``str`` object per distinct token.
     """
 
     def __init__(self, schema: Iterable[Attribute], columns: Iterable[np.ndarray]):
+        self._check(schema, columns)
+        vocabularies = [_Vocabulary() if a.kind == CATEGORICAL else None for a in self.schema]
+        self._vocabularies: tuple[dict | None, ...] = tuple(vocabularies)
+        self.codes: tuple[np.ndarray | None, ...] = tuple(
+            None if v is None else _code(v, col) for v, col in zip(vocabularies, self.columns)
+        )
+
+    @classmethod
+    def _coded(cls, schema, columns, vocabularies, codes) -> "Dataset":
+        """A dataset whose categorical columns come with their vocabularies and codes."""
+        db = cls.__new__(cls)
+        db._check(schema, columns)
+        db._vocabularies = tuple(vocabularies)
+        db.codes = tuple(codes)
+        return db
+
+    def _check(self, schema: Iterable[Attribute], columns: Iterable[np.ndarray]) -> None:
         self.schema: tuple[Attribute, ...] = tuple(schema)
         self.columns: tuple[np.ndarray, ...] = tuple(columns)
         names = [a.name for a in self.schema]
@@ -143,12 +169,6 @@ class Dataset:
                 if not np.all(np.isfinite(col)):
                     raise SchemaError(f"numeric column {a.name!r} holds non-finite values")
         self._by_name = {a.name: a for a in self.schema}
-        encoded = [
-            _encode(col) if a.kind == CATEGORICAL else (None, None)
-            for a, col in zip(self.schema, self.columns)
-        ]
-        self._vocabularies: tuple[dict | None, ...] = tuple(v for v, _ in encoded)
-        self.codes: tuple[np.ndarray | None, ...] = tuple(c for _, c in encoded)
 
     @classmethod
     def from_arrays(cls, names, kinds, columns) -> "Dataset":
@@ -183,13 +203,17 @@ class Dataset:
         return self._vocabularies[attribute_index].get(token, -1)
 
 
-def _encode(col: np.ndarray) -> tuple[dict, np.ndarray]:
-    """Vocabulary (token -> code, by first appearance) and per-row codes."""
-    vocabulary: dict = {}
-    codes = np.fromiter(
-        (vocabulary.setdefault(v, len(vocabulary)) for v in col), dtype=np.intp, count=len(col)
-    )
-    return vocabulary, codes
+class _Vocabulary(dict):
+    """Token -> code, numbered by first appearance: a new token gets the next code."""
+
+    def __missing__(self, token) -> int:
+        code = self[token] = len(self)
+        return code
+
+
+def _code(vocabulary: _Vocabulary, tokens) -> np.ndarray:
+    """The codes of tokens, adding each new token to the vocabulary."""
+    return np.fromiter(map(vocabulary.__getitem__, tokens), dtype=np.intp, count=len(tokens))
 
 
 @dataclass(frozen=True)
@@ -259,7 +283,7 @@ _NUMBER = re.compile(
 _PADDING_OR_GROUPING = "_" + "".join(c for c in map(chr, range(128)) if c.isspace())
 
 
-def _parse_cells(tokens: list[str]) -> list[float]:
+def _parse_cells(tokens: Sequence[str]) -> list[float]:
     """The tokens before the first that is not a number literal, as floats."""
     # fast path: an ASCII token without padding or underscores that float()
     # accepts is exactly a _NUMBER literal; a word in the column fails
@@ -307,8 +331,105 @@ def _not_utf8(what: str, exc: UnicodeDecodeError) -> ParseError:
     return ParseError(f"{what} is not valid UTF-8 ({exc.reason})")
 
 
+class _ColumnReader:
+    """One column of a table that is read in chunks of rows.
+
+    A categorical column keeps its vocabulary and the codes of the rows read
+    so far, a numeric one their floats, each in one buffer that grows in
+    place. While its kind is open (no hint, and only number literals so far)
+    a column keeps its tokens as well, joined by commas into one string per
+    chunk, so that a word in a later chunk makes it categorical with the
+    original strings. A numeric column's first fault is kept, not raised.
+    """
+
+    def __init__(self, name: str, kind: str | None):
+        self.name = name
+        self.kind = kind
+        self.vocabulary: _Vocabulary | None = None
+        self.values = array("d")
+        self.tokens: list[str] = []
+        self.fault: ParseError | None = None
+        self.rows = 0
+        if kind == CATEGORICAL:
+            self._categorical()
+
+    def _categorical(self) -> None:
+        """Turn categorical: code the tokens kept so far, drop the floats."""
+        self.kind = CATEGORICAL
+        self.vocabulary = _Vocabulary()
+        self.values = array(np.dtype(np.intp).char)
+        for kept in self.tokens:
+            self._extend(_code(self.vocabulary, kept.split(",")))
+        self.tokens = []
+        self.fault = None
+
+    def add(self, tokens: tuple[str, ...]) -> None:
+        """Take the column's cells of the next chunk of rows."""
+        start = self.rows
+        self.rows += len(tokens)
+        if self.vocabulary is None:
+            if self.kind == NUMERIC and self.fault is not None:
+                return
+            parsed = _parse_cells(tokens)
+            if self.kind == NUMERIC or len(parsed) == len(tokens):
+                self._add_numbers(tokens, parsed, start)
+                return
+            self._categorical()
+        self._extend(_code(self.vocabulary, tokens))
+
+    def _extend(self, values: np.ndarray) -> None:
+        self.values.frombytes(memoryview(values).cast("B"))
+
+    def _add_numbers(self, tokens: tuple[str, ...], parsed: list[float], start: int) -> None:
+        # parsed holds the rows before the first token that is not a number literal
+        numbers = len(parsed)
+        col = np.array(parsed, dtype=np.float64)
+        if self.fault is None:
+            # a non-finite value before the first non-literal is the first fault
+            nonfinite = np.flatnonzero(~np.isfinite(col))
+            if nonfinite.size:
+                i = int(nonfinite[0])
+                self.fault = ParseError(
+                    f"non-finite numeric value {tokens[i]!r}", row=start + i, column=self.name
+                )
+            elif numbers < len(tokens):
+                self.fault = ParseError(
+                    f"cannot parse {tokens[numbers]!r} as a number", row=start + numbers, column=self.name
+                )
+        self._extend(col)
+        if self.kind is None:
+            # a number literal holds no comma and is ASCII: one byte a
+            # character, where a str a cell would take some 50 more
+            self.tokens.append(",".join(tokens))
+
+    def column(self) -> tuple[str, np.ndarray, _Vocabulary | None, np.ndarray | None]:
+        """Kind, values, vocabulary and codes once every row is read; or the first fault."""
+        if self.fault is not None:
+            raise self.fault
+        self.tokens = []
+        if self.vocabulary is None:
+            return NUMERIC, np.frombuffer(self.values, dtype=np.float64), None, None
+        codes = np.frombuffer(self.values, dtype=np.intp)
+        # one str object per distinct token
+        tokens = np.array(list(self.vocabulary), dtype=object)[codes]
+        return CATEGORICAL, tokens, self.vocabulary, codes
+
+
+# rows read before their cells are coded or parsed column by column
+_PARSE_ROWS = 8192
+
+
+def _add_rows(readers: list[_ColumnReader], rows: list[list[str]]) -> None:
+    for column, tokens in zip(readers, zip(*rows)):
+        column.add(tokens)
+
+
 def parse_csv(source: str | IO[str], hint: dict[str, str] | None = None) -> Dataset:
     """Parse comma-separated text into a Dataset.
+
+    The rows are read in chunks of ``_PARSE_ROWS``: the cells of a chunk are
+    coded or parsed column by column, so the table is never held as rows of
+    strings, and a categorical column keeps one ``str`` per distinct token.
 
     Parameters
     ----------
@@ -328,7 +449,9 @@ def parse_csv(source: str | IO[str], hint: dict[str, str] | None = None) -> Data
         Empty input, duplicate header names, ragged rows, unparseable or
         non-finite cells in a numeric column, a stream that is not valid
         UTF-8, or a record the csv module rejects (such as a cell longer
-        than its field limit).
+        than its field limit). A fault met while reading a row is raised
+        at once; a numeric column's first fault is raised once every row
+        is read, in header order.
     MissingValueError
         An empty cell anywhere in the data.
     SchemaError
@@ -337,7 +460,9 @@ def parse_csv(source: str | IO[str], hint: dict[str, str] | None = None) -> Data
     stream = io.StringIO(source) if isinstance(source, str) else source
     reader = csv.reader(stream)
     header: list[str] | None = None
-    cells: list[list[str]] = []
+    chunk: list[list[str]] = []
+    # data rows read before the current chunk
+    read = 0
     try:
         header = next(reader, None)
         if header is None:
@@ -351,44 +476,30 @@ def parse_csv(source: str | IO[str], hint: dict[str, str] | None = None) -> Data
                 if hint[name] not in _KINDS:
                     raise SchemaError(f"schema hint has unknown kind {hint[name]!r}")
 
+        readers = [_ColumnReader(name, hint.get(name) if hint else None) for name in header]
         m = len(header)
         for i, row in enumerate(reader):
             if len(row) != m:
                 raise ParseError(f"expected {m} cells, found {len(row)}", row=i)
             if "" in row:
                 raise MissingValueError(row=i, column=header[row.index("")])
-            cells.append(row)
+            chunk.append(row)
+            if len(chunk) == _PARSE_ROWS:
+                _add_rows(readers, chunk)
+                read += len(chunk)
+                chunk = []
     except UnicodeDecodeError as exc:
         raise _not_utf8("input", exc) from None
     except csv.Error as exc:
         # the record the reader failed on is the header or the next data row
-        raise ParseError(f"malformed CSV: {exc}", row=None if header is None else len(cells)) from None
-    if not cells:
+        raise ParseError(f"malformed CSV: {exc}", row=None if header is None else read + len(chunk)) from None
+    if not read + len(chunk):
         raise ParseError("no data rows")
+    _add_rows(readers, chunk)
+    # the last chunk's strings go before the columns are built
+    del chunk
 
-    columns: list[np.ndarray] = []
-    kinds: list[str] = []
-    for j, name in enumerate(header):
-        tokens = [row[j] for row in cells]
-        parsed = _parse_cells(tokens)
-        # rows before the first token that is not a number literal
-        numbers = len(parsed)
-        wanted = hint.get(name) if hint else None
-        if wanted is None:
-            wanted = NUMERIC if numbers == len(tokens) else CATEGORICAL
-        if wanted == NUMERIC:
-            col = np.array(parsed, dtype=np.float64)
-            # a non-finite value before the first non-literal is the first fault
-            nonfinite = np.flatnonzero(~np.isfinite(col))
-            if nonfinite.size:
-                i = int(nonfinite[0])
-                raise ParseError(f"non-finite numeric value {tokens[i]!r}", row=i, column=name)
-            if numbers < len(tokens):
-                raise ParseError(f"cannot parse {tokens[numbers]!r} as a number", row=numbers, column=name)
-            columns.append(col)
-        else:
-            columns.append(np.array(tokens, dtype=object))
-        kinds.append(wanted)
-
+    # a column's fault is raised in header order
+    kinds, columns, vocabularies, codes = zip(*(column.column() for column in readers))
     schema = [Attribute(j, name, kind) for j, (name, kind) in enumerate(zip(header, kinds))]
-    return Dataset(schema, columns)
+    return Dataset._coded(schema, columns, vocabularies, codes)

@@ -1,7 +1,11 @@
 """Dataset model, CSV parsing, conditions, explanations, selection."""
 
+import contextlib
 import csv
 import io
+import sys
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,14 +24,52 @@ from outprop import (
     read_schema_file,
     select,
 )
-from outprop.dataset import _NUMBER, _parse_cells
-from outprop.errors import MissingValueError, ParseError, PreconditionError, SchemaError
+from outprop.dataset import _NUMBER, _PARSE_ROWS, _parse_cells
+from outprop.errors import Error, MissingValueError, ParseError, PreconditionError, SchemaError
 
 CSV = "x,label,y\n1.5,on,0.25\n2.5,off,0.5\n9.0,on,0.75\n"
 
+# tiny chunks put a table's rows, and its faults, in different chunks
+CHUNK_ROWS = (1, 2, 3)
+
+
+def contents(db):
+    """Everything a parse decides: kinds, float bits, tokens, codes, vocabularies."""
+    out = []
+    for a, col, codes in zip(db.schema, db.columns, db.codes):
+        if a.kind == NUMERIC:
+            out.append((a, col.dtype.str, col.tobytes()))
+        else:
+            vocabulary = sorted(set(col.tolist()), key=lambda t: db.code(a.index, t))
+            out.append((a, [(type(t), t) for t in col], codes.dtype.str, codes.tobytes(),
+                        [(t, db.code(a.index, t)) for t in vocabulary]))
+    return out
+
+
+def parse_in_chunks(source, hint=None):
+    """parse_csv(source, hint), once chunks of a few rows have given the same
+    Dataset or the same error (type, message, row, column) as the default size."""
+    stream = not isinstance(source, str)
+    text = source.read() if stream else source
+
+    def parse():
+        return parse_csv(io.StringIO(text) if stream else text, hint=hint)
+
+    def outcome():
+        try:
+            return contents(parse())
+        except Error as exc:
+            return type(exc), str(exc), getattr(exc, "row", None), getattr(exc, "column", None)
+
+    expected = outcome()
+    for rows in CHUNK_ROWS:
+        with mock.patch("outprop.dataset._PARSE_ROWS", rows):
+            assert outcome() == expected, f"{rows}-row chunks"
+    return parse()
+
 
 def small_db():
-    return parse_csv(CSV)
+    return parse_in_chunks(CSV)
 
 
 def test_parse_infers_kinds_and_values():
@@ -41,44 +83,44 @@ def test_parse_infers_kinds_and_values():
 
 
 def test_parse_accepts_stream_input():
-    db = parse_csv(io.StringIO(CSV))
+    db = parse_in_chunks(io.StringIO(CSV))
     assert db.n_rows == 3
 
 
 def test_parse_rejects_duplicate_header():
     with pytest.raises(ParseError):
-        parse_csv("x,x\n1,2\n")
+        parse_in_chunks("x,x\n1,2\n")
 
 
 def test_parse_rejects_ragged_row():
     with pytest.raises(ParseError) as err:
-        parse_csv("x,y\n1,2\n3\n")
+        parse_in_chunks("x,y\n1,2\n3\n")
     assert err.value.row == 1
 
 
 def test_parse_rejects_missing_cell():
     with pytest.raises(MissingValueError) as err:
-        parse_csv("x,y\n1,\n")
+        parse_in_chunks("x,y\n1,\n")
     assert err.value.row == 0
     assert err.value.column == "y"
 
 
 def test_parse_rejects_non_finite_numeric():
     with pytest.raises(ParseError):
-        parse_csv("x\n1.0\nnan\n")
+        parse_in_chunks("x\n1.0\nnan\n")
     with pytest.raises(ParseError):
-        parse_csv("x\ninf\n2.0\n")
+        parse_in_chunks("x\ninf\n2.0\n")
 
 
 def test_parse_accepts_only_plain_number_literals():
-    db = parse_csv('grouped,padded,plain\n1_000," 2 ",+.5e-3\n3,4,7.\n')
+    db = parse_in_chunks('grouped,padded,plain\n1_000," 2 ",+.5e-3\n3,4,7.\n')
     assert [a.kind for a in db.schema] == [CATEGORICAL, CATEGORICAL, NUMERIC]
     assert db.columns[0][0] == "1_000"
     assert db.columns[1][0] == " 2 "
     np.testing.assert_array_equal(db.columns[2], [0.0005, 7.0])
     for text, column in (("x,y\n1,2\n3,4_0\n", "y"), ("x,y\n1,2\n3, 4\n", "y")):
         with pytest.raises(ParseError) as err:
-            parse_csv(text, hint={column: NUMERIC})
+            parse_in_chunks(text, hint={column: NUMERIC})
         assert (err.value.row, err.value.column) == (1, column)
 
 
@@ -99,11 +141,11 @@ def test_padding_or_grouping_character_makes_a_cell_a_non_number(char):
     out = io.StringIO()
     csv.writer(out).writerows([["x", "y"], ["1", "2"], ["3", token], ["5", "6"]])
     text = out.getvalue()
-    db = parse_csv(text)
+    db = parse_in_chunks(text)
     assert [a.kind for a in db.schema] == [NUMERIC, CATEGORICAL]
     assert db.columns[1][1] == token
     with pytest.raises(ParseError) as err:
-        parse_csv(text, hint={"y": NUMERIC})
+        parse_in_chunks(text, hint={"y": NUMERIC})
     assert (err.value.row, err.value.column) == (1, "y")
 
 
@@ -113,7 +155,7 @@ def test_padding_or_grouping_character_makes_a_cell_a_non_number(char):
 )
 def test_numeric_hint_names_the_first_bad_row(cells, row, message):
     with pytest.raises(ParseError) as err:
-        parse_csv("x,y\n" + "".join(f"0,{c}\n" for c in cells), hint={"y": NUMERIC})
+        parse_in_chunks("x,y\n" + "".join(f"0,{c}\n" for c in cells), hint={"y": NUMERIC})
     assert (err.value.row, err.value.column) == (row, "y")
     assert message in str(err.value)
 
@@ -124,29 +166,161 @@ def test_numeric_hint_reports_the_row_of_the_first_bad_cell(k, bad):
     # the cells after row k hold more faults, a non-finite value among them
     cells = ["2.5"] * k + [bad] + ["zz", "nan", "7"][: 11 - k]
     with pytest.raises(ParseError) as err:
-        parse_csv("x,y\n" + "".join(f"0,{c}\n" for c in cells), hint={"y": NUMERIC})
+        parse_in_chunks("x,y\n" + "".join(f"0,{c}\n" for c in cells), hint={"y": NUMERIC})
     assert (err.value.row, err.value.column) == (k, "y")
     assert f"cannot parse {bad!r} as a number" in str(err.value)
 
 
 def test_parse_rejects_empty_and_header_only():
     with pytest.raises(ParseError):
-        parse_csv("")
+        parse_in_chunks("")
     with pytest.raises(ParseError):
-        parse_csv("x,y\n")
+        parse_in_chunks("x,y\n")
 
 
 def test_schema_hint_forces_categorical():
-    db = parse_csv("code\n1\n2\n1\n", hint={"code": CATEGORICAL})
+    db = parse_in_chunks("code\n1\n2\n1\n", hint={"code": CATEGORICAL})
     assert db.schema[0].kind == CATEGORICAL
     assert list(db.columns[0]) == ["1", "2", "1"]
 
 
 def test_schema_hint_unknown_name_rejected():
     with pytest.raises(SchemaError):
-        parse_csv(CSV, hint={"nope": NUMERIC})
+        parse_in_chunks(CSV, hint={"nope": NUMERIC})
     with pytest.raises(SchemaError):
-        parse_csv(CSV, hint={"x": "fancy"})
+        parse_in_chunks(CSV, hint={"x": "fancy"})
+
+
+def table(*columns, header=None):
+    header = header or [f"c{j}" for j in range(len(columns))]
+    return ",".join(header) + "\n" + "".join(",".join(row) + "\n" for row in zip(*columns))
+
+
+def test_a_word_in_a_later_chunk_makes_a_numeric_column_categorical_with_its_tokens():
+    tokens = ["1.50", "+2", "3e0", ".5", "7.", "010", "word", "1.50"]
+    text = table([str(i) for i in range(len(tokens))], tokens)
+    for rows in (2, 3):
+        with mock.patch("outprop.dataset._PARSE_ROWS", rows):
+            db = parse_csv(text)
+        assert [a.kind for a in db.schema] == [NUMERIC, CATEGORICAL]
+        # the original strings, not the reprs of their floats
+        assert db.columns[1].tolist() == tokens
+        assert db.codes[1].tolist() == [0, 1, 2, 3, 4, 5, 6, 0]
+    assert contents(parse_in_chunks(text)) == contents(db)
+
+
+@pytest.mark.parametrize(("bad", "message"), [("x1", "cannot parse"), ("-inf", "non-finite"), ("1_0", "cannot parse")])
+def test_numeric_hint_names_a_bad_row_in_a_later_chunk(bad, message):
+    text = table(["1", "2", "3", "4", "5", bad, "7", "zz"])
+    for rows in (2, 3):
+        with mock.patch("outprop.dataset._PARSE_ROWS", rows), pytest.raises(ParseError) as err:
+            parse_csv(text, hint={"c0": NUMERIC})
+        assert (err.value.row, err.value.column) == (5, "c0")
+        assert message in str(err.value)
+
+
+def test_a_non_finite_value_in_chunk_one_wins_over_a_word_in_chunk_three():
+    cells = ["1", "inf", "2", "3", "x", "4"]
+    with mock.patch("outprop.dataset._PARSE_ROWS", 2), pytest.raises(ParseError) as err:
+        parse_csv(table(cells), hint={"c0": NUMERIC})
+    assert (err.value.row, err.value.column) == (1, "c0")
+    assert "non-finite numeric value 'inf'" in str(err.value)
+    # without a hint the word makes the column categorical, inf a token
+    with mock.patch("outprop.dataset._PARSE_ROWS", 2):
+        assert parse_csv(table(cells)).columns[0].tolist() == cells
+
+
+@pytest.mark.parametrize(
+    ("last", "error"),
+    [("7", ParseError), ("7,8,9", ParseError), ("", MissingValueError)],
+    ids=["short row", "long row", "empty cell"],
+)
+def test_a_reading_fault_in_a_later_chunk_wins_over_an_earlier_column_fault(last, error):
+    # rows 0 and 1 hold column faults: a word under a numeric hint, and nan
+    text = "x,y\nword,nan\n1,2\n3,4\n5,6\n" + ("7," if last == "" else last) + "\n"
+    for rows in (1, 2, 3):
+        with mock.patch("outprop.dataset._PARSE_ROWS", rows), pytest.raises(ParseError) as err:
+            parse_csv(text, hint={"x": NUMERIC})
+        assert type(err.value) is error
+        assert err.value.row == 4
+    with pytest.raises(error):
+        parse_in_chunks(text, hint={"x": NUMERIC})
+
+
+def test_csv_error_names_its_row_across_chunks():
+    long_cell = "b" * (csv.field_size_limit() + 1)
+    text = table(["1", "2", "3", "4", "5"], ["a", "a", "a", "a", long_cell])
+    with pytest.raises(ParseError) as err:
+        parse_in_chunks(text)
+    assert err.value.row == 4
+    assert "malformed CSV: field larger than field limit" in str(err.value)
+
+
+CELLS = st.one_of(
+    st.integers(-30, 30).map(str),
+    st.floats(allow_nan=False, allow_infinity=False, width=16).map(repr),
+    st.sampled_from(["a", "bb", "inf", "-inf", "nan", " 1", "2 ", "1_0", "1_000.5", "+.5", "7.", "1e3"]),
+)
+
+
+@given(
+    rows=st.lists(st.lists(CELLS, min_size=3, max_size=3), min_size=1, max_size=8),
+    hints=st.lists(st.sampled_from([None, NUMERIC, CATEGORICAL]), min_size=3, max_size=3),
+)
+@settings(max_examples=200, deadline=None)
+def test_a_parse_in_tiny_chunks_equals_a_parse_in_one(rows, hints):
+    out = io.StringIO()
+    csv.writer(out).writerows([["x", "y", "z"], *rows])
+    hint = {name: kind for name, kind in zip("xyz", hints) if kind is not None}
+    # parse_in_chunks compares the outcomes; an error is an outcome too
+    with contextlib.suppress(ParseError):
+        parse_in_chunks(out.getvalue(), hint=hint)
+
+
+def test_a_parsed_categorical_column_holds_one_str_per_distinct_token():
+    # one-character strings are shared singletons in CPython, so none here
+    tokens = ["bee", "ant", "bee", "cat", "ant", "ant", "bee"]
+    text = table(tokens, [f"r{i}" for i in range(len(tokens))])
+    for rows in (2, 8192):
+        with mock.patch("outprop.dataset._PARSE_ROWS", rows):
+            db = parse_csv(text, hint={"c1": CATEGORICAL})
+        for col in db.columns:
+            assert len({id(t) for t in col}) == len(set(col.tolist()))
+        assert db.columns[0].tolist() == tokens
+        # numbered by first appearance
+        assert db.codes[0].tolist() == [0, 1, 0, 2, 1, 1, 0]
+        assert [db.code(0, t) for t in ("bee", "cat", "ant", "elk")] == [0, 2, 1, -1]
+        assert db.codes[1].tolist() == list(range(len(tokens)))
+
+
+def test_from_arrays_keeps_the_objects_it_is_given():
+    values = [1, True, 1.0, "1"]
+    db = Dataset.from_arrays(["c"], [CATEGORICAL], [values])
+    assert all(kept is given for kept, given in zip(db.columns[0], values))
+    # equal tokens share a code
+    assert db.codes[0].tolist() == [0, 0, 0, 1]
+    assert db.code(0, 1.0) == db.code(0, True) == 0
+
+
+def test_parse_peak_memory_is_the_dataset_arrays_and_one_chunk_of_rows(tmp_path):
+    n, m = 100_000, 8
+    bits = np.random.default_rng(0).integers(0, 2, (n, m))
+    path = tmp_path / "tokens.csv"
+    path.write_text(table(*np.where(bits, "t1", "t0").T.tolist()))
+    # the dataset keeps an 8-byte code and an 8-byte object pointer a cell;
+    # while reading, one chunk of rows is held as csv row lists of str
+    row = next(csv.reader([",".join(["t0"] * m)]))
+    chunk_bytes = _PARSE_ROWS * (sys.getsizeof(row) + sum(map(sys.getsizeof, row)))
+    bound = 2 * 8 * n * m + chunk_bytes
+    with open(path, newline="") as fh:
+        tracemalloc.start()
+        try:
+            db = parse_csv(fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert db.n_rows == n
+    assert peak <= bound, f"peak {peak / 2**20:.1f} MiB > bound {bound / 2**20:.1f} MiB"
 
 
 def test_schema_file_round_trip(tmp_path):
