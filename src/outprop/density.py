@@ -45,7 +45,11 @@ def global_bandwidth(xs: np.ndarray) -> float:
         raise EmptySampleError("bandwidth of an empty sample")
     if xs.min() == xs.max():
         return DEGENERATE_BANDWIDTH
-    h = 1.06 * float(np.std(xs, ddof=1)) * xs.size ** (-0.2)
+    # np.std(xs, ddof=1)'s own arithmetic, without its Python layers
+    n = xs.size
+    dev = xs - xs.sum() / n
+    dev *= dev
+    h = 1.06 * math.sqrt(dev.sum() / (n - 1)) * n ** (-0.2)
     if not math.isfinite(h):
         raise DegenerateSampleError(
             "density window width left the float64 range; the values are too large"

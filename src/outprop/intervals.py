@@ -14,32 +14,53 @@ component. Categorical columns skip all of this: their natural condition
 (``miner.natural_conditions``) is equality with the value.
 
 One EM iteration works in one n x k buffer allocated once per fit: the
-responsibilities. The M-step takes the variances from the squared
-deviations (x - m)^2 one block of rows at a time; the E-step then writes
-the squared deviations into the buffer, in place of the responsibilities,
-turns them into the log joint log w - log b - (x - m)^2 / (2 b^2) -
-log(2 pi) / 2 and row-normalizes it by a max-shift log-sum-exp: subtract
-each row's peak, exponentiate, divide by the row sum. The log-likelihood
-is the sum of the logs of the row sums plus the sum of the peaks. The
-peak term is exp(0) = 1, so a row whose every joint underflows in linear
-space still normalizes to finite values. When components die, their
-columns are squeezed out of the same buffer, block by block. The weighted
-sums are single-threaded einsum reductions, not BLAS products.
+responsibilities. The M-step takes the mass and location sums from them,
+then the variances from the squared deviations (x - m)^2, which it leaves
+in the buffer in place of the responsibilities. The E-step turns those
+into the log joint log w - log b - (x - m)^2 / (2 b^2) - log(2 pi) / 2
+and row-normalizes it by a max-shift log-sum-exp: subtract each row's
+peak, exponentiate, divide by the row sum. The log-likelihood is the sum
+of the logs of the row sums plus the sum of the peaks. The peak term is
+exp(0) = 1, so a row whose every joint underflows in linear space still
+normalizes to finite values. When components die, their columns are
+squeezed out of the same buffer, block by block. The weighted sums are
+einsum and sum reductions, not BLAS products.
 
-Every row-local pass (normalizing the random start and the whole E-step)
-runs over blocks of rows of about ``_BLOCK_BYTES`` each, so a block stays
-in cache between its steps. Where the process may run on two or more
-CPUs, a pass of two or more blocks starts one worker thread, under the
-caller's ``np.errstate``, that takes the second half of the blocks while
-the calling thread takes the first; numpy releases the interpreter lock
-inside each step. A pass writes only its own rows, so every value is the
-same, bit for bit, with or without the worker. The mass and location sums
-stay whole-matrix calls on the calling thread. The variance sum runs over
-the blocks in row order on the calling thread and carries its running
-column sums from one block to the next: for two or more components that
-adds the same terms in the same order as one whole-matrix einsum, so it
-rounds the same. For one component einsum has a kernel of its own with
-other rounding, so that case keeps the whole-column call.
+Where the process may run on two or more CPUs and the matrix spans two
+or more blocks of about ``_BLOCK_BYTES`` of rows, every pass over it but
+a column drop runs on two threads: ``_both`` starts one worker thread, in
+a copy of the caller's context (so under its ``np.errstate``), and joins
+it before the pass returns; numpy releases the interpreter lock inside
+each step. Otherwise every pass runs on the calling thread, the row
+halves one after the other; for one block a worker costs more than it
+saves. Each pass is split so that every value is computed as one thread
+computes it, so the fit is the same, bit for bit, either way:
+
+- Random start: each half of the row blocks draws its rows straight
+  into the buffer and divides them by their sums while they are in
+  cache. The second half's generator is advanced by first_row * k draws,
+  and PCG64 spends one draw on each float64, so every value is the
+  whole-matrix draw's.
+- Mass and location sums: the whole-matrix ``sum`` runs on the calling
+  thread and the whole-matrix einsum on the worker, each call as it would
+  run alone. After a drop the einsum runs again on the kept columns.
+- Variance sums: each thread takes half of the columns and goes over the
+  row blocks in order, squaring its deviations in a one-block scratch,
+  weighing them in the buffer and carrying running column sums from one
+  block to the next. A column still adds its rows in order, the order of
+  one whole-matrix einsum, so it rounds the same. A one-column half would
+  be summed by numpy's pairwise kernel instead, so below four components,
+  and wherever the pass runs on one thread, the calling thread takes
+  every column at once. For one component einsum has a kernel of its
+  own, so that case keeps the whole-column call.
+- E-step and final assignments: each thread takes half of the row
+  blocks. A row's values depend only on that row, so no bit changes.
+- Column drops stay on the calling thread: a row moves to a place at or
+  before the one it is read from, so the rows of the second half may
+  land where rows of the first half have yet to be read.
+
+Fits of different attributes run one after the other: two at once would
+hold two n x k buffers.
 """
 
 from __future__ import annotations
@@ -49,6 +70,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -120,9 +142,14 @@ class MixtureState:
         return float(self.locations.max() - self.locations.min())
 
 
+def _block_rows(k: int) -> int:
+    """Rows in one block of an n x k float64 pass, about _BLOCK_BYTES."""
+    return max(1, _BLOCK_BYTES // (8 * k))
+
+
 def _row_blocks(n: int, k: int) -> list[slice]:
     """Consecutive blocks of rows of an n x k float64 matrix, about _BLOCK_BYTES each."""
-    step = max(1, _BLOCK_BYTES // (8 * k))
+    step = _block_rows(k)
     return [slice(start, min(start + step, n)) for start in range(0, n, step)]
 
 
@@ -133,67 +160,133 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _each(work, blocks):
-    for rows in blocks:
-        work(rows)
+def _threaded(n: int, k: int) -> bool:
+    """Whether a pass over an n x k float64 matrix runs on two threads.
 
-
-def _in_row_blocks(n: int, k: int, work: Callable[[slice], None]) -> None:
-    """Call work(rows) on consecutive blocks of rows of an n x k float64 pass.
-
-    On one CPU, or for a single block, every block runs inline. Otherwise
-    one worker thread takes the second half of the blocks, in a copy of
-    the caller's context, while the calling thread takes the first half.
-    The worker is joined before the pass returns, so no buffer is reused
-    while it runs; its exception, if any, is raised here. Every block
-    writes only its own rows, so the result does not depend on the split.
+    It does where the process may use two CPUs and the matrix spans two or
+    more blocks; for one block, starting a worker costs more than it saves.
     """
-    blocks = _row_blocks(n, k)
-    if len(blocks) < 2 or _cpus() < 2:
-        _each(work, blocks)
-        return
-    half = (len(blocks) + 1) // 2
-    errors = []
+    return n > _block_rows(k) and _cpus() >= 2
 
-    def second_half():
+
+def _both(n: int, k: int, first: Callable[[], object], second: Callable[[], object]) -> tuple:
+    """(first(), second()) of a pass over an n x k float64 matrix, second() on a worker.
+
+    The worker runs in a copy of the caller's context, so the caller's
+    np.errstate holds on it, and it is joined before this returns, so no
+    buffer is reused while it runs; its exception, if any, is raised here.
+    Where the pass is not ``_threaded``, both calls run inline, first one
+    first.
+    """
+    if not _threaded(n, k):
+        return first(), second()
+    outcome = {}
+
+    def run_second():
         try:
-            _each(work, blocks[half:])
+            outcome["value"] = second()
         except BaseException as exc:  # re-raised on the calling thread
-            errors.append(exc)
+            outcome["error"] = exc
 
-    worker = threading.Thread(target=contextvars.copy_context().run, args=(second_half,))
+    worker = threading.Thread(target=contextvars.copy_context().run, args=(run_second,))
     worker.start()
     try:
-        _each(work, blocks[:half])
+        value = first()
     finally:
         worker.join()
-    if errors:
-        raise errors[0]
+    if "error" in outcome:
+        raise outcome["error"]
+    return value, outcome["value"]
+
+
+def _row_halves(n: int, k: int) -> list[list[slice]]:
+    """The row blocks of an n x k float64 pass in two halves, or a single block as one."""
+    blocks = _row_blocks(n, k)
+    half = (len(blocks) + 1) // 2
+    return [blocks[:half], blocks[half:]] if half < len(blocks) else [blocks]
+
+
+def _in_row_blocks(n: int, k: int, work: Callable[[list[slice]], None]) -> None:
+    """Call work(blocks) on each of the row halves of an n x k float64 pass.
+
+    The two halves go to ``_both``, the first half to the calling thread; a
+    pass of one block runs inline. Every block writes only its own rows, so
+    the result does not depend on the split.
+    """
+    halves = _row_halves(n, k)
+    if len(halves) == 1:
+        work(halves[0])
+    else:
+        _both(n, k, partial(work, halves[0]), partial(work, halves[1]))
+
+
+def _random_start(n: int, k: int, seed) -> np.ndarray:
+    """default_rng(seed).random((n, k)) with every row divided by its sum.
+
+    Each half of the row blocks draws its rows straight into the matrix,
+    from a generator of its own that is advanced by first_row * k draws.
+    PCG64 spends one draw on each float64, so every value is the one the
+    whole-matrix call draws.
+    """
+    gamma = np.empty((n, k))
+    # the generators are made on the calling thread: a generator made on
+    # the worker left about 0.8 MB more of a `mine` process resident
+    generators = {}
+    for blocks in _row_halves(n, k):
+        rng = generators[blocks[0].start] = np.random.default_rng(seed)
+        rng.bit_generator.advance(blocks[0].start * k)
+
+    def draw(blocks):
+        rng = generators[blocks[0].start]
+        for rows in blocks:
+            g = rng.random(out=gamma[rows])
+            g /= g.sum(axis=1, keepdims=True)
+
+    _in_row_blocks(n, k, draw)
+    return gamma
 
 
 def _variance_sums(x, locations, gamma):
     """Column sums of gamma * (x - m)^2, rounded as np.einsum("ij,ij->j") rounds them.
 
-    For two or more columns einsum adds the rows in order, one running sum
-    per column. The blocks square and weigh their deviations in a one-block
-    scratch and carry those running sums on, so no n x k matrix of squared
-    deviations is held. For one column einsum sums with a kernel of its own,
-    which this order would not match, so it gets the n-vector whole.
+    gamma is left holding (x - m)^2. For two or more columns einsum adds the
+    rows in order, one running sum per column. The blocks square their
+    deviations in a one-block scratch, weigh them in gamma, carry the
+    running sums on and copy the squares over the weighted terms. Where the
+    pass is ``_threaded`` and has four or more columns, each half of the
+    columns, with its part of the scratch, goes to ``_both``: a half of two
+    or more columns is still summed row by row, while a one-column view
+    would be summed by numpy's pairwise kernel, so two or three columns
+    stay whole. For one column einsum sums with a kernel of its own, which
+    this order would not match, so it gets the n-vector whole.
     """
     n, k = gamma.shape
     if k == 1:
         sq_dev = np.subtract(x[:, None], locations)
-        return np.einsum("ij,ij->j", gamma, np.square(sq_dev, out=sq_dev))
+        np.square(sq_dev, out=sq_dev)
+        sums = np.einsum("ij,ij->j", gamma, sq_dev)
+        gamma[...] = sq_dev
+        return sums
     blocks = _row_blocks(n, k)
-    scratch = np.empty(blocks[0].stop * k)
+    step = blocks[0].stop
+    scratch = np.empty(step * k)
     sums = np.zeros(k)
-    for rows in blocks:
-        g = gamma[rows]
-        terms = np.subtract(x[rows, None], locations, out=scratch[: g.size].reshape(g.shape))
-        np.square(terms, out=terms)
-        terms *= g
-        terms[0] += sums
-        np.sum(terms, axis=0, out=sums)
+
+    def columns(cols):
+        part = scratch[step * cols.start : step * cols.stop]
+        for rows in blocks:
+            g = gamma[rows, cols]
+            sq_dev = np.subtract(x[rows, None], locations[cols], out=part[: g.size].reshape(g.shape))
+            np.square(sq_dev, out=sq_dev)
+            g *= sq_dev
+            g[0] += sums[cols]
+            np.sum(g, axis=0, out=sums[cols])
+            g[...] = sq_dev
+
+    if k < 4 or not _threaded(n, k):
+        columns(slice(0, k))
+    else:
+        _both(n, k, partial(columns, slice(0, k // 2)), partial(columns, slice(k // 2, k)))
     return sums
 
 
@@ -212,29 +305,43 @@ def _drop_columns(flat, gamma, keep):
     return flat[: n * k].reshape(n, k)
 
 
-def _responsibilities(x, locations, bandwidths, weights, gamma):
-    """Write the row-normalized w_j * N(x_i; m_j, b_j^2) into gamma; return the log-likelihood.
+def _responsibilities(bandwidths, weights, gamma):
+    """Turn the (x - m)^2 in gamma into the row-normalized w_j * N(x_i; m_j, b_j^2).
 
-    ``gamma`` is an n x k matrix; what it held is overwritten.
+    Returns the log-likelihood.
     """
     scale = -0.5 / (bandwidths * bandwidths)
     shift = np.log(weights) - np.log(bandwidths) - 0.5 * _LOG_2PI
-    peak = np.empty(x.size)
-    norm = np.empty(x.size)
+    n, k = gamma.shape
+    peak = np.empty(n)
+    norm = np.empty(n)
 
-    def block(rows):
-        g = np.subtract(x[rows, None], locations, out=gamma[rows])
-        np.square(g, out=g)
-        g *= scale
-        g += shift
-        row_peak = np.max(g, axis=1, out=peak[rows])
-        g -= row_peak[:, None]
-        np.exp(g, out=g)
-        row_norm = np.sum(g, axis=1, out=norm[rows])
-        g /= row_norm[:, None]
+    def normalize(blocks):
+        for rows in blocks:
+            g = gamma[rows]
+            g *= scale
+            g += shift
+            row_peak = np.max(g, axis=1, out=peak[rows])
+            g -= row_peak[:, None]
+            np.exp(g, out=g)
+            row_norm = np.sum(g, axis=1, out=norm[rows])
+            g /= row_norm[:, None]
 
-    _in_row_blocks(x.size, locations.size, block)
+    _in_row_blocks(n, k, normalize)
     return float(np.sum(np.log(norm)) + np.sum(peak))
+
+
+def _assignments(gamma):
+    """Each row's highest-responsibility column, np.argmax(gamma, axis=1) by row blocks."""
+    n, k = gamma.shape
+    out = np.empty(n, dtype=np.intp)
+
+    def argmax(blocks):
+        for rows in blocks:
+            np.argmax(gamma[rows], axis=1, out=out[rows])
+
+    _in_row_blocks(n, k, argmax)
+    return out
 
 
 def em_fit(xs: np.ndarray, cfg: EMConfig, iteration_hook: IterationHook | None = None) -> MixtureState:
@@ -284,14 +391,7 @@ def em_fit(xs: np.ndarray, cfg: EMConfig, iteration_hook: IterationHook | None =
     var_floor = _VAR_FLOOR * span * span
 
     k0 = math.isqrt(n)
-    rng = np.random.default_rng(cfg.seed)
-    gamma = rng.random((n, k0))
-
-    def normalize(rows):
-        g = gamma[rows]
-        g /= g.sum(axis=1, keepdims=True)
-
-    _in_row_blocks(n, k0, normalize)
+    gamma = _random_start(n, k0, cfg.seed)
     # the fit's one n x k buffer: the component count only shrinks, so
     # every later gamma is the front of it
     flat = gamma.reshape(-1)
@@ -299,7 +399,8 @@ def em_fit(xs: np.ndarray, cfg: EMConfig, iteration_hook: IterationHook | None =
     prev_ll = None
     stop_reason = "max_iter"
     for it in range(1, MAX_ITER + 1):
-        mass = gamma.sum(axis=0)
+        k = gamma.shape[1]
+        mass, weighted = _both(n, k, partial(gamma.sum, axis=0), partial(np.einsum, "i,ij->j", x, gamma))
         surplus = np.maximum(mass - ANNIHILATION, 0.0)
         if not math.isfinite(surplus.sum()):
             raise DegenerateSampleError(_OUT_OF_RANGE)
@@ -310,16 +411,17 @@ def em_fit(xs: np.ndarray, cfg: EMConfig, iteration_hook: IterationHook | None =
             surplus = surplus[keep]
             mass = mass[keep]
             gamma = _drop_columns(flat, gamma, keep)
+            weighted = np.einsum("i,ij->j", x, gamma)
         weights = surplus / surplus.sum()
 
-        locations = np.einsum("i,ij->j", x, gamma) / mass
+        locations = weighted / mass
         variances = _variance_sums(x, locations, gamma) / mass
         bandwidths = np.sqrt(np.maximum(variances, var_floor))
         finite = np.isfinite(locations).all() and np.isfinite(bandwidths).all()
         if not (finite and bandwidths.min() > 0.0):
             raise DegenerateSampleError(_OUT_OF_RANGE)
 
-        ll = _responsibilities(x, locations, bandwidths, weights, gamma)
+        ll = _responsibilities(bandwidths, weights, gamma)
         if iteration_hook is not None:
             iteration_hook(it, weights.copy(), gamma.copy())
 
@@ -334,7 +436,7 @@ def em_fit(xs: np.ndarray, cfg: EMConfig, iteration_hook: IterationHook | None =
 
     return MixtureState(
         locations=locations, bandwidths=bandwidths, weights=weights,
-        assignments=np.argmax(gamma, axis=1), iterations=it,
+        assignments=_assignments(gamma), iterations=it,
         log_likelihood=ll, stop_reason=stop_reason,
     )
 

@@ -191,6 +191,41 @@ def test_blas_pool_size_does_not_change_reports(tmp_path):
     assert b'"record":"pair"' in one[Path("r.jsonl")]
 
 
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="pins a child to one of two or more CPUs",
+)
+def test_one_cpu_and_all_cpus_write_the_same_reports(tmp_path):
+    # on one CPU the EM runs every pass inline; on two it splits rows and
+    # columns across two threads
+    rng = np.random.default_rng(12)
+    n = 20000
+    xs = np.where(rng.random(n) < 0.5, rng.uniform(-3.0, -1.0, n), rng.uniform(1.0, 3.0, n))
+    ys = rng.normal(0.0, 1.0, n)
+    xs[0], ys[0] = 0.0, 4.5
+    tokens = rng.choice(["ant", "bee", "cat"], n)
+    data = tmp_path / "table.csv"
+    rows = zip(xs.tolist(), ys.tolist(), tokens)
+    data.write_text("x,y,g\n" + "".join(f"{x!r},{y!r},{t}\n" for x, y, t in rows))
+    one_cpu = min(os.sched_getaffinity(0))
+    reports = []
+    for pin in (lambda: os.sched_setaffinity(0, {one_cpu}), None):
+        out = tmp_path / ("pinned" if pin else "unpinned")
+        out.mkdir()
+        mine = ["-m", "outprop.cli", "mine", "--data", str(data), "--outlier", "0", "--omega", "0.0",
+                "--kmax", "2", "--seed", "3"]
+        runs = [
+            python(*mine, "--out", str(out / "r.jsonl"), "--curves", str(out / "curves"), preexec_fn=pin),
+            python(*mine, "--tsv", "--out", str(out / "r.tsv"), preexec_fn=pin),
+        ]
+        assert [r.returncode for r in runs] == [0, 0], [r.stderr for r in runs]
+        reports.append({p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()})
+    pinned, unpinned = reports
+    assert pinned == unpinned
+    assert len(pinned) > 3  # both reports and at least two curves
+    assert b'"record":"pair"' in pinned[Path("r.jsonl")]
+
+
 def test_mine_stdout_equals_file_output(tmp_path, capsys):
     data = gen_benchmark(tmp_path, size=120)
     argv = ["mine", "--data", str(data), "--outlier", "119", "--omega", "0.5",

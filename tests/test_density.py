@@ -34,6 +34,22 @@ def test_bandwidth_normal_reference_rule():
     assert global_bandwidth(xs) == pytest.approx(expected, rel=1e-9)
 
 
+@given(
+    st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=1, max_size=40),
+    st.lists(st.integers(min_value=0, max_value=39), min_size=2, max_size=300),
+    st.floats(min_value=-100.0, max_value=100.0),
+    st.integers(min_value=-6, max_value=6),
+)
+@settings(max_examples=300, deadline=None)
+def test_bandwidth_is_np_std_s_arithmetic_bit_for_bit(pool, picks, shift, exponent):
+    # picks repeat values of the pool, so most samples hold duplicates
+    xs = (np.array([pool[i % len(pool)] for i in picks]) + shift) * 10.0 ** exponent
+    if xs.min() == xs.max():
+        assert global_bandwidth(xs) == DEGENERATE_BANDWIDTH
+    else:
+        assert global_bandwidth(xs) == 1.06 * float(np.std(xs, ddof=1)) * xs.size ** (-0.2)
+
+
 def test_bandwidth_degenerate_cases():
     assert global_bandwidth(np.array([4.2])) == DEGENERATE_BANDWIDTH
     assert global_bandwidth(np.full(10, 7.0)) == DEGENERATE_BANDWIDTH

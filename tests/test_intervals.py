@@ -12,7 +12,7 @@ from scipy.special import logsumexp
 
 from outprop import EMConfig, MixtureState, em_fit, intervals, natural_interval
 from outprop.errors import DegenerateSampleError, PreconditionError
-from outprop.intervals import _in_row_blocks, _responsibilities, _variance_sums
+from outprop.intervals import _both, _in_row_blocks, _random_start, _responsibilities, _variance_sums
 
 
 def two_clusters(seed=0, n=50, gap=5.0):
@@ -48,9 +48,9 @@ def fit_with_final_responsibilities(xs, cfg):
 
 
 def e_step(x, locations, bandwidths, weights):
-    """Responsibilities and log-likelihood in a fresh n x k buffer."""
-    gamma = np.empty((x.size, locations.size))
-    return gamma, _responsibilities(x, locations, bandwidths, weights, gamma)
+    """Responsibilities and log-likelihood, from squared deviations in a fresh n x k buffer."""
+    gamma = np.square(x[:, None] - locations)
+    return gamma, _responsibilities(bandwidths, weights, gamma)
 
 
 def allow_cpus(monkeypatch, cpus):
@@ -163,17 +163,41 @@ def test_row_blocks_on_two_threads_are_bit_equal_to_whole_matrix_passes(monkeypa
     assert ll == expected_ll
 
 
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}])
 @pytest.mark.parametrize("block_rows", [1000, 64, 7, 1])
-@pytest.mark.parametrize("k", [1, 2, 3, 141])
-def test_carried_variance_sums_are_bit_equal_to_einsum(monkeypatch, k, block_rows):
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 13, 141])
+def test_carried_variance_sums_are_bit_equal_to_einsum(monkeypatch, k, block_rows, cpus):
+    # from four columns on, each half of the columns is summed on a thread of its own
     monkeypatch.setattr(intervals, "_BLOCK_BYTES", 8 * k * block_rows)
+    allow_cpus(monkeypatch, cpus)
     rng = np.random.default_rng(37)
-    for n in (50, 1000, 5000):
+    for n in (50, 150, 1000, 5000):
         x, locations, _, _ = random_mixture(rng, n, k)
         gamma = rng.random((n, k))
         gamma /= gamma.sum(axis=1, keepdims=True)
-        expected = np.einsum("ij,ij->j", gamma, np.square(x[:, None] - locations))
+        sq_dev = np.square(x[:, None] - locations)
+        expected = np.einsum("ij,ij->j", gamma, sq_dev)
         assert _variance_sums(x, locations, gamma).tobytes() == expected.tobytes(), n
+        # the E-step starts from the squared deviations the pass leaves behind
+        assert gamma.tobytes() == sq_dev.tobytes(), n
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+@pytest.mark.parametrize("n, k, block_rows", [
+    (1000, 13, 64),  # a partial last block
+    (1000, 13, 7),  # a partial last block in each half
+    (1000, 13, 1000),  # a single block
+    (9, 3, 1),  # one row a block
+    (20000, 141, None),  # the benchmark's shape, at the default block size
+])
+@pytest.mark.parametrize("seed", [0, 5, (3, 4)])
+def test_random_start_is_the_whole_matrix_draw_normalized(monkeypatch, n, k, block_rows, seed, cpus):
+    if block_rows is not None:
+        monkeypatch.setattr(intervals, "_BLOCK_BYTES", 8 * k * block_rows)
+    allow_cpus(monkeypatch, cpus)
+    expected = np.random.default_rng(seed).random((n, k))
+    expected /= expected.sum(axis=1, keepdims=True)
+    assert _random_start(n, k, seed).tobytes() == expected.tobytes()
 
 
 def two_buffer_em_fit(xs, cfg):
@@ -232,6 +256,10 @@ def mixed_gap_column():
     pytest.param(lambda: np.random.default_rng(0).exponential(size=5000) ** 4, range(3), 8 * 70 * 300,
                  {62, 35, 24}, id="exponential-5000"),
     pytest.param(mixed_gap_column, [0], None, {141}, id="mixed-gap"),
+    # 12 components dropping to 2 and 3, where the variance pass keeps its
+    # columns whole: a one-column half would be summed pairwise
+    pytest.param(lambda: np.random.default_rng(7).exponential(size=150) ** 20, range(8), None, {2, 3},
+                 id="150-rows"),
 ])
 def test_fit_is_bit_equal_to_the_two_buffer_fit(monkeypatch, column, seeds, block_bytes, components):
     if block_bytes is not None:
@@ -278,8 +306,8 @@ def test_a_worker_exception_reaches_the_caller(monkeypatch):
     monkeypatch.setattr(intervals, "_BLOCK_BYTES", 80)
     allow_cpus(monkeypatch, {0, 1})
 
-    def work(rows):
-        if rows.start == 90:
+    def work(blocks):
+        if blocks[-1].start == 90:
             raise ValueError("last block")
 
     with pytest.raises(ValueError, match="last block"):
@@ -288,13 +316,46 @@ def test_a_worker_exception_reaches_the_caller(monkeypatch):
 
 def test_the_worker_runs_under_the_caller_s_error_state(monkeypatch):
     # ten blocks of 100 rows; only the worker's half, the last 500 rows,
-    # overflows when squared
+    # overflows when scaled
     monkeypatch.setattr(intervals, "_BLOCK_BYTES", 8 * 13 * 100)
     allow_cpus(monkeypatch, {0, 1})
-    x = np.concatenate([np.zeros(500), np.full(500, 1e200)])
+    gamma = np.zeros((1000, 13))
+    gamma[500:] = 1e300
     with np.errstate(over="raise"):
         with pytest.raises(FloatingPointError):
-            e_step(x, np.zeros(13), np.ones(13), np.full(13, 1 / 13))
+            _responsibilities(np.full(13, 1e-5), np.full(13, 1 / 13), gamma)
+
+
+def test_column_halves_raise_on_the_caller_under_its_error_state(monkeypatch):
+    # six columns in three blocks: the worker takes the last three
+    # columns, and only their deviations overflow when squared
+    monkeypatch.setattr(intervals, "_BLOCK_BYTES", 8 * 6 * 100)
+    allow_cpus(monkeypatch, {0, 1})
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or start(self))
+    x = np.linspace(0.0, 1.0, 300)
+    locations = np.array([0.0, 0.5, 1.0, 1e200, 2e200, 3e200])
+    gamma = np.full((300, 6), 1 / 6)
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            _variance_sums(x, locations, gamma)
+    assert len(started) == 1
+    with np.errstate(over="ignore"):
+        sums = _variance_sums(x, locations, np.full((300, 6), 1 / 6))
+    assert np.all(np.isfinite(sums[:3])) and np.all(np.isinf(sums[3:]))
+
+
+def test_both_runs_the_second_call_on_a_worker_for_two_blocks_on_two_cpus(monkeypatch):
+    monkeypatch.setattr(intervals, "_BLOCK_BYTES", 8 * 10 * 100)
+    caller = threading.current_thread()
+
+    def on_caller():
+        return threading.current_thread() is caller
+
+    for cpus, n, inline in (({0, 1}, 101, False), ({0, 1}, 100, True), ({0}, 101, True)):
+        allow_cpus(monkeypatch, cpus)
+        assert _both(n, 10, lambda: 1, on_caller) == (1, inline), (cpus, n)
 
 
 def test_threaded_e_steps_under_fast_switching_are_bit_equal(monkeypatch):

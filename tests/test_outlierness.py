@@ -319,6 +319,16 @@ def test_categorical_rare_token():
     assert common.value == 0.0
 
 
+def test_categorical_score_stays_below_tanh_of_one_half():
+    # raw = sum(c^2)/m^2 - c_o/m < 1 with c_o >= 1, so omega(raw) < tanh(1/2)
+    values = ["a"] * 9999 + ["b"]
+    db = one_column(values, kind=CATEGORICAL)
+    score = outlierness(full_view(db), db.schema[0], 9999)
+    assert score.raw == pytest.approx(0.9997, abs=1e-7)
+    assert round(score.value, 5) == 0.46200
+    assert score.value < math.tanh(0.5) == pytest.approx(0.46212, abs=1e-5)
+
+
 def test_score_monotone_in_query_density():
     rng = np.random.default_rng(9)
     for _ in range(5):
