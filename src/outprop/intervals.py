@@ -13,54 +13,51 @@ the contiguous run of sorted values around it whose rows share its
 component. Categorical columns skip all of this: their natural condition
 (``miner.natural_conditions``) is equality with the value.
 
-One EM iteration works in one n x k buffer allocated once per fit: the
-responsibilities. The M-step takes the mass and location sums from them,
-then the variances from the squared deviations (x - m)^2, which it leaves
-in the buffer in place of the responsibilities. The E-step turns those
-into the log joint log w - log b - (x - m)^2 / (2 b^2) - log(2 pi) / 2
-and row-normalizes it by a max-shift log-sum-exp: subtract each row's
-peak, exponentiate, divide by the row sum. The log-likelihood is the sum
-of the logs of the row sums plus the sum of the peaks. The peak term is
-exp(0) = 1, so a row whose every joint underflows in linear space still
-normalizes to finite values. When components die, their columns are
-squeezed out of the same buffer, block by block. The weighted sums are
-einsum and sum reductions, not BLAS products.
+The fit holds no n x k matrix. The responsibilities of an iteration are
+fixed by its parameters (each component's location, bandwidth and
+weight) together with two n-vectors, each row's log-joint peak and row
+sum, and before the first E-step by the seed. So every iteration makes
+two sweeps over blocks of about ``_BLOCK_BYTES`` of rows, and each sweep
+recomputes a block's responsibilities where it needs them:
 
-Where the process may run on two or more CPUs and the matrix spans two
-or more blocks of about ``_BLOCK_BYTES`` of rows, every pass over it but
-a column drop runs on two threads: ``_both`` starts one worker thread, in
-a copy of the caller's context (so under its ``np.errstate``), and joins
-it before the pass returns; numpy releases the interpreter lock inside
-each step. Otherwise every pass runs on the calling thread, the row
-halves one after the other; for one block a worker costs more than it
-saves. Each pass is split so that every value is computed as one thread
-computes it, so the fit is the same, bit for bit, either way:
+- The sums sweep runs after the random start and after every M-step. It
+  draws a block of the start, or computes the block's E-step: the log
+  joint log w - log b - (x - m)^2 / (2 b^2) - log(2 pi) / 2,
+  row-normalized by a max-shift log-sum-exp (subtract each row's peak,
+  exponentiate, divide by the row sum). It keeps the peaks and row sums
+  and writes each row's argmax into the assignments. The log-likelihood
+  is the sum of the logs of the row sums plus the sum of the peaks. The
+  peak term is exp(0) = 1, so a row whose every joint underflows in
+  linear space still normalizes to finite values. The sweep then adds
+  the block to the mass and location sums of the next M-step.
+- The variance sweep recomputes the same responsibilities from the stored
+  peaks and row sums, which skips the two row reductions; in the first
+  iteration it redraws the start from a fresh generator. It keeps the
+  columns of the components that survive, weighs (x - m)^2 under the new
+  locations by them and adds the block to the variance sums.
 
-- Random start: each half of the row blocks draws its rows straight
-  into the buffer and divides them by their sums while they are in
-  cache. The second half's generator is advanced by first_row * k draws,
-  and PCG64 spends one draw on each float64, so every value is the
-  whole-matrix draw's.
-- Mass and location sums: the whole-matrix ``sum`` runs on the calling
-  thread and the whole-matrix einsum on the worker, each call as it would
-  run alone. After a drop the einsum runs again on the kept columns.
-- Variance sums: each thread takes half of the columns and goes over the
-  row blocks in order, squaring its deviations in a one-block scratch,
-  weighing them in the buffer and carrying running column sums from one
-  block to the next. A column still adds its rows in order, the order of
-  one whole-matrix einsum, so it rounds the same. A one-column half would
-  be summed by numpy's pairwise kernel instead, so below four components,
-  and wherever the pass runs on one thread, the calling thread takes
-  every column at once. For one component einsum has a kernel of its
-  own, so that case keeps the whole-column call.
-- E-step and final assignments: each thread takes half of the row
-  blocks. A row's values depend only on that row, so no bit changes.
-- Column drops stay on the calling thread: a row moves to a place at or
-  before the one it is read from, so the rows of the second half may
-  land where rows of the first half have yet to be read.
+No bit changes for this. A row's responsibilities depend on that row and
+the parameters alone, so a recomputed value is the value computed
+before. Each column sum is carried from block to block and so adds the
+rows in order, as a whole-matrix sum(axis=0) or einsum over the rows
+does: the mass and location sums start each block from a carry row put
+on top of it, and the variance sums add the carry to the block's first
+weighted row. numpy sums one column with kernels of its own, so one
+component's responsibilities are held whole, as an n x 1 matrix, and get
+the whole-column calls. A fit's memory is thus O(n) plus a few blocks. A
+fit with an ``iteration_hook`` also copies every E-step into an n x k
+matrix for the hook.
 
-Fits of different attributes run one after the other: two at once would
-hold two n x k buffers.
+Where the process may run on two or more CPUs and the start spans two or
+more blocks, each sweep runs on two threads (``_sweep``): the calling
+thread takes the even blocks and one worker thread the odd ones. Each
+thread computes its blocks in buffers of its own, all allocated on the
+calling thread, and adds a block to the carried sums only after the other
+thread has added the block before, so no bit depends on the thread
+count. The worker runs in a copy of the caller's context, so under its
+np.errstate, and is joined before the sweep returns; numpy releases the
+interpreter lock inside each step. On one CPU, for a single block, or
+where no thread can be started, every block runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -70,7 +67,6 @@ import math
 import os
 import threading
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -91,8 +87,8 @@ MAX_ITER = 500
 # N = 2 parameters of a 1-D Gaussian (Figueiredo & Jain, 2002)
 ANNIHILATION = 1.0
 
-# Bytes of the n x k matrix in one block of a row-local pass, small enough
-# for the block to stay in cache across its steps
+# Bytes of the responsibilities in one block of a sweep, small enough for
+# the block to stay in cache across its steps
 _BLOCK_BYTES = 1 << 20
 
 # A column whose values are too large or too close together can take the
@@ -143,12 +139,12 @@ class MixtureState:
 
 
 def _block_rows(k: int) -> int:
-    """Rows in one block of an n x k float64 pass, about _BLOCK_BYTES."""
+    """Rows in one block of an n x k float64 sweep, about _BLOCK_BYTES."""
     return max(1, _BLOCK_BYTES // (8 * k))
 
 
 def _row_blocks(n: int, k: int) -> list[slice]:
-    """Consecutive blocks of rows of an n x k float64 matrix, about _BLOCK_BYTES each."""
+    """Consecutive blocks of rows of an n x k float64 sweep, about _BLOCK_BYTES each."""
     step = _block_rows(k)
     return [slice(start, min(start + step, n)) for start in range(0, n, step)]
 
@@ -160,188 +156,269 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _threaded(n: int, k: int) -> bool:
-    """Whether a pass over an n x k float64 matrix runs on two threads.
+def _sweep(blocks: list[slice], lanes: int, step: Callable, fold: Callable) -> None:
+    """fold(step(lane, rows)) for every block of rows, the folds in block order.
 
-    It does where the process may use two CPUs and the matrix spans two or
-    more blocks; for one block, starting a worker costs more than it saves.
+    step does a block's row-local work in the buffers of its lane, and fold
+    adds the block to sums carried from block to block. With two lanes and
+    two or more blocks, the calling thread (lane 0) takes the even blocks
+    and one worker thread (lane 1) the odd ones. A lane folds its block
+    only after the other lane has folded the block before, so the carried
+    sums add the rows in order whichever thread computed them. The worker
+    runs in a copy of the caller's context, so the caller's np.errstate
+    holds on it, and it is joined before this returns; its exception, if
+    any, is raised here. Otherwise, and where no thread can be started,
+    every block runs inline on lane 0.
     """
-    return n > _block_rows(k) and _cpus() >= 2
+    turns = (threading.Semaphore(1), threading.Semaphore(0))
+    errors = []
 
-
-def _both(n: int, k: int, first: Callable[[], object], second: Callable[[], object]) -> tuple:
-    """(first(), second()) of a pass over an n x k float64 matrix, second() on a worker.
-
-    The worker runs in a copy of the caller's context, so the caller's
-    np.errstate holds on it, and it is joined before this returns, so no
-    buffer is reused while it runs; its exception, if any, is raised here.
-    Where the pass is not ``_threaded``, both calls run inline, first one
-    first.
-    """
-    if not _threaded(n, k):
-        return first(), second()
-    outcome = {}
-
-    def run_second():
+    def run(lane):
         try:
-            outcome["value"] = second()
-        except BaseException as exc:  # re-raised on the calling thread
-            outcome["error"] = exc
+            for rows in blocks[lane::2]:
+                block = step(lane, rows)
+                turns[lane].acquire()
+                if errors:
+                    return
+                fold(block)
+                turns[1 - lane].release()
+        except BaseException as exc:
+            # wake the other lane, which stops at its next turn; the
+            # worker's exception is raised on the calling thread below
+            errors.append(exc)
+            turns[1 - lane].release()
+            if lane == 0:
+                raise
 
-    worker = threading.Thread(target=contextvars.copy_context().run, args=(run_second,))
-    worker.start()
+    worker = None
+    if lanes == 2 and len(blocks) > 1:
+        worker = threading.Thread(target=contextvars.copy_context().run, args=(run, 1))
+        try:
+            worker.start()
+        except RuntimeError:  # no thread to be had, as under a tight address-space limit
+            worker = None
+    if worker is None:
+        for rows in blocks:
+            fold(step(0, rows))
+        return
     try:
-        value = first()
+        run(0)
     finally:
         worker.join()
-    if "error" in outcome:
-        raise outcome["error"]
-    return value, outcome["value"]
+    if errors:
+        raise errors[0]
 
 
-def _row_halves(n: int, k: int) -> list[list[slice]]:
-    """The row blocks of an n x k float64 pass in two halves, or a single block as one."""
-    blocks = _row_blocks(n, k)
-    half = (len(blocks) + 1) // 2
-    return [blocks[:half], blocks[half:]] if half < len(blocks) else [blocks]
+def _squared_deviations(x_rows, locations, out):
+    """out[i, j] = (x_rows[i] - locations[j])^2.
 
-
-def _in_row_blocks(n: int, k: int, work: Callable[[list[slice]], None]) -> None:
-    """Call work(blocks) on each of the row halves of an n x k float64 pass.
-
-    The two halves go to ``_both``, the first half to the calling thread; a
-    pass of one block runs inline. Every block writes only its own rows, so
-    the result does not depend on the split.
+    x_rows is copied into each column first, so the subtraction
+    broadcasts one operand only.
     """
-    halves = _row_halves(n, k)
-    if len(halves) == 1:
-        work(halves[0])
-    else:
-        _both(n, k, partial(work, halves[0]), partial(work, halves[1]))
+    np.copyto(out, x_rows[:, None])
+    out -= locations
+    return np.square(out, out=out)
 
 
-def _random_start(n: int, k: int, seed) -> np.ndarray:
-    """default_rng(seed).random((n, k)) with every row divided by its sum.
+def _e_step_params(locations, bandwidths, weights) -> tuple:
+    """The E-step's (locations, scale, shift).
 
-    Each half of the row blocks draws its rows straight into the matrix,
-    from a generator of its own that is advanced by first_row * k draws.
-    PCG64 spends one draw on each float64, so every value is the one the
-    whole-matrix call draws.
-    """
-    gamma = np.empty((n, k))
-    # the generators are made on the calling thread: a generator made on
-    # the worker left about 0.8 MB more of a `mine` process resident
-    generators = {}
-    for blocks in _row_halves(n, k):
-        rng = generators[blocks[0].start] = np.random.default_rng(seed)
-        rng.bit_generator.advance(blocks[0].start * k)
-
-    def draw(blocks):
-        rng = generators[blocks[0].start]
-        for rows in blocks:
-            g = rng.random(out=gamma[rows])
-            g /= g.sum(axis=1, keepdims=True)
-
-    _in_row_blocks(n, k, draw)
-    return gamma
-
-
-def _variance_sums(x, locations, gamma):
-    """Column sums of gamma * (x - m)^2, rounded as np.einsum("ij,ij->j") rounds them.
-
-    gamma is left holding (x - m)^2. For two or more columns einsum adds the
-    rows in order, one running sum per column. The blocks square their
-    deviations in a one-block scratch, weigh them in gamma, carry the
-    running sums on and copy the squares over the weighted terms. Where the
-    pass is ``_threaded`` and has four or more columns, each half of the
-    columns, with its part of the scratch, goes to ``_both``: a half of two
-    or more columns is still summed row by row, while a one-column view
-    would be summed by numpy's pairwise kernel, so two or three columns
-    stay whole. For one column einsum sums with a kernel of its own, which
-    this order would not match, so it gets the n-vector whole.
-    """
-    n, k = gamma.shape
-    if k == 1:
-        sq_dev = np.subtract(x[:, None], locations)
-        np.square(sq_dev, out=sq_dev)
-        sums = np.einsum("ij,ij->j", gamma, sq_dev)
-        gamma[...] = sq_dev
-        return sums
-    blocks = _row_blocks(n, k)
-    step = blocks[0].stop
-    scratch = np.empty(step * k)
-    sums = np.zeros(k)
-
-    def columns(cols):
-        part = scratch[step * cols.start : step * cols.stop]
-        for rows in blocks:
-            g = gamma[rows, cols]
-            sq_dev = np.subtract(x[rows, None], locations[cols], out=part[: g.size].reshape(g.shape))
-            np.square(sq_dev, out=sq_dev)
-            g *= sq_dev
-            g[0] += sums[cols]
-            np.sum(g, axis=0, out=sums[cols])
-            g[...] = sq_dev
-
-    if k < 4 or not _threaded(n, k):
-        columns(slice(0, k))
-    else:
-        _both(n, k, partial(columns, slice(0, k // 2)), partial(columns, slice(k // 2, k)))
-    return sums
-
-
-def _drop_columns(flat, gamma, keep):
-    """gamma's kept columns, moved block by block to the front of flat.
-
-    gamma is the front of flat. Rows move in increasing order and land at
-    or before the place they were read from, so no row is overwritten
-    before it is read.
-    """
-    n = gamma.shape[0]
-    k = int(np.count_nonzero(keep))
-    for rows in _row_blocks(n, gamma.shape[1]):
-        block = np.compress(keep, gamma[rows], axis=1)
-        flat[rows.start * k : rows.stop * k] = block.ravel()
-    return flat[: n * k].reshape(n, k)
-
-
-def _responsibilities(bandwidths, weights, gamma):
-    """Turn the (x - m)^2 in gamma into the row-normalized w_j * N(x_i; m_j, b_j^2).
-
-    Returns the log-likelihood.
+    log w_j + log N(x; m_j, b_j^2) = (x - m_j)^2 * scale_j + shift_j.
     """
     scale = -0.5 / (bandwidths * bandwidths)
     shift = np.log(weights) - np.log(bandwidths) - 0.5 * _LOG_2PI
-    n, k = gamma.shape
-    peak = np.empty(n)
-    norm = np.empty(n)
+    return locations, scale, shift
 
-    def normalize(blocks):
-        for rows in blocks:
-            g = gamma[rows]
-            g *= scale
-            g += shift
-            row_peak = np.max(g, axis=1, out=peak[rows])
-            g -= row_peak[:, None]
-            np.exp(g, out=g)
-            row_norm = np.sum(g, axis=1, out=norm[rows])
-            g /= row_norm[:, None]
 
-    _in_row_blocks(n, k, normalize)
+def _e_step(x_rows, params, g, peak, norm, known=False):
+    """Fill g with the responsibilities of x_rows under params (``_e_step_params``).
+
+    The log joint is row-normalized by a max-shift log-sum-exp: subtract the
+    row's peak, exponentiate, divide by the row sum. peak and norm receive
+    each row's peak and sum; where they are known from an E-step under the
+    same parameters, the two row reductions are skipped.
+    """
+    locations, scale, shift = params
+    _squared_deviations(x_rows, locations, g)
+    g *= scale
+    g += shift
+    if not known:
+        np.max(g, axis=1, out=peak)
+    g -= peak[:, None]
+    np.exp(g, out=g)
+    if not known:
+        np.sum(g, axis=1, out=norm)
+    g /= norm[:, None]
+    return g
+
+
+def _log_likelihood(peak, norm) -> float:
+    """The sample log-likelihood from each row's log-joint peak and shifted sum."""
     return float(np.sum(np.log(norm)) + np.sum(peak))
 
 
-def _assignments(gamma):
-    """Each row's highest-responsibility column, np.argmax(gamma, axis=1) by row blocks."""
-    n, k = gamma.shape
-    out = np.empty(n, dtype=np.intp)
+class _Responsibilities:
+    """The responsibilities of one fit, recomputed block by block, never held whole.
 
-    def argmax(blocks):
-        for rows in blocks:
-            np.argmax(gamma[rows], axis=1, out=out[rows])
+    They are fixed by the last E-step's parameters together with each
+    row's peak and row sum, or, before the first E-step, by the seed. One
+    component's responsibilities are held whole, as an n x 1 ``column``.
+    ``assignments`` holds each row's argmax under the last E-step.
+    """
 
-    _in_row_blocks(n, k, argmax)
-    return out
+    def __init__(self, x: np.ndarray, k: int, seed):
+        n = x.size
+        self.x, self.k, self.seed = x, k, seed
+        self.params = None  # ``_e_step_params`` of the last E-step
+        self.peak, self.norm = np.empty(n), np.empty(n)
+        self.assignments = np.empty(n, dtype=np.intp)
+        self.column = None
+        self.buffers = []
+        if k == 1:
+            self.column = np.random.default_rng(seed).random((n, 1))
+            self.column /= self.column.sum(axis=1, keepdims=True)
+            return
+        lanes = 2 if n > _block_rows(k) and _cpus() >= 2 else 1
+        # one buffer a lane holds a block and its carry row, or the rows of
+        # half a block twice, for any k <= k0
+        self.buffers = [np.empty(_BLOCK_BYTES // 8 + 2 * k) for _ in range(lanes)]
+
+    def _draws(self) -> Callable:
+        """draw(lane, rows, g): rows of default_rng(seed).random((n, k)) into g.
+
+        Each lane has a generator of its own, made here on the calling
+        thread, that skips the rows of the other lane's blocks: PCG64 spends
+        one draw on each float64, so every value is the whole-matrix draw's.
+        """
+        k = self.k
+        rngs = [np.random.default_rng(self.seed) for _ in self.buffers]
+        drawn = [0] * len(rngs)
+
+        def draw(lane, rows, g):
+            rngs[lane].bit_generator.advance(rows.start * k - drawn[lane])
+            rngs[lane].random(out=g)
+            drawn[lane] = rows.stop * k
+
+        return draw
+
+    def _recall(self) -> Callable:
+        """recall(lane, rows, g): fill g with the rows' last responsibilities and return it."""
+        if self.params is not None:
+            x, params, peak, norm = self.x, self.params, self.peak, self.norm
+            return lambda lane, rows, g: _e_step(x[rows], params, g, peak[rows], norm[rows], known=True)
+        draw = self._draws()
+
+        def redraw(lane, rows, g):
+            draw(lane, rows, g)
+            g /= self.norm[rows, None]
+            return g
+
+        return redraw
+
+    def _block(self, lane: int, r: int, k: int, offset: int = 0) -> np.ndarray:
+        """An r x k matrix in the lane's buffer, from its float offset on."""
+        return self.buffers[lane][offset : offset + r * k].reshape(r, k)
+
+    def sums(self, params=None, hooked=None):
+        """Column sums of gamma and of x * gamma over the new responsibilities.
+
+        gamma is the random start without params, and otherwise the E-step
+        under params (``_e_step_params``), which also keeps each
+        row's peak and row sum, writes its argmax into ``assignments`` and,
+        where ``hooked`` is given, copies the responsibilities into it. The
+        sums round as gamma.sum(axis=0) and np.einsum("i,ij->j", x, gamma)
+        do: each block's sums start from the carry of the block before, put
+        in a row on top of it.
+        """
+        x = self.x
+        if self.column is not None:
+            if params is not None:
+                _e_step(x, params, self.column, self.peak, self.norm)
+                np.argmax(self.column, axis=1, out=self.assignments)
+                if hooked is not None:
+                    hooked[...] = self.column
+            self.params = params
+            return self.column.sum(axis=0), np.einsum("i,ij->j", x, self.column)
+        k = self.k if params is None else params[0].size
+        draw = self._draws() if params is None else None
+        mass, weighted = np.zeros(k), np.zeros(k)
+        # each lane's [1, x_rows]: the weights of the carry row and the rows
+        row_weights = [np.empty(_block_rows(k) + 1) for _ in self.buffers]
+
+        def step(lane, rows):
+            top = self._block(lane, rows.stop - rows.start + 1, k)
+            g = top[1:]
+            if params is None:
+                draw(lane, rows, g)
+                g /= np.sum(g, axis=1, out=self.norm[rows])[:, None]
+            else:
+                _e_step(x[rows], params, g, self.peak[rows], self.norm[rows])
+                np.argmax(g, axis=1, out=self.assignments[rows])
+            if hooked is not None:
+                hooked[rows] = g
+            weights = row_weights[lane][: top.shape[0]]
+            weights[0] = 1.0
+            weights[1:] = x[rows]
+            return top, weights
+
+        def fold(block):
+            top, weights = block
+            top[0] = mass
+            np.sum(top, axis=0, out=mass)
+            top[0] = weighted
+            np.einsum("i,ij->j", weights, top, out=weighted)
+
+        _sweep(_row_blocks(x.size, k), len(self.buffers), step, fold)
+        self.k, self.params = k, params
+        return mass, weighted
+
+    def hold_column(self, keep: np.ndarray) -> np.ndarray:
+        """Hold the one kept column of the responsibilities whole, and return it."""
+        column = np.empty((self.x.size, 1))
+        (j,) = np.flatnonzero(keep)
+        recall = self._recall()
+
+        def step(lane, rows):
+            column[rows, 0] = recall(lane, rows, self._block(lane, rows.stop - rows.start, self.k))[:, j]
+
+        _sweep(_row_blocks(self.x.size, self.k), len(self.buffers), step, lambda block: None)
+        self.column, self.buffers = column, []
+        return column
+
+    def variance_sums(self, locations: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
+        """Column sums of gamma * (x - m)^2 over gamma's kept columns.
+
+        They round as np.einsum("ij,ij->j") rounds them: for two or more
+        columns einsum adds the rows in order, one running sum per column,
+        and each block adds the carry to its first row before it sums its
+        columns. For one column einsum has a kernel of its own, so the n x 1
+        column gets the einsum whole.
+        """
+        x = self.x
+        k = locations.size
+        if self.column is not None:
+            return np.einsum("ij,ij->j", self.column, _squared_deviations(x, locations, np.empty((x.size, 1))))
+        kept = None if keep is None else np.flatnonzero(keep)
+        recall = self._recall()
+        sums = np.zeros(k)
+
+        def step(lane, rows):
+            r = rows.stop - rows.start
+            g = recall(lane, rows, self._block(lane, r, self.k))
+            sq_dev = self._block(lane, r, k, offset=r * self.k)
+            if kept is not None:
+                # mode="raise", np.compress's, would copy through a scratch block
+                g, sq_dev = np.take(g, kept, axis=1, out=sq_dev, mode="clip"), self._block(lane, r, k)
+            g *= _squared_deviations(x[rows], locations, sq_dev)
+            return g
+
+        def fold(g):
+            g[0] += sums
+            np.sum(g, axis=0, out=sums)
+
+        # a block and its squared deviations share the lane's buffer
+        _sweep(_row_blocks(x.size, 2 * self.k), len(self.buffers), step, fold)
+        return sums
 
 
 def em_fit(xs: np.ndarray, cfg: EMConfig, iteration_hook: IterationHook | None = None) -> MixtureState:
@@ -354,7 +431,8 @@ def em_fit(xs: np.ndarray, cfg: EMConfig, iteration_hook: IterationHook | None =
     cfg : EMConfig
     iteration_hook : callable, optional
         Called as hook(iteration, weights, responsibilities) after every
-        iteration, with copies. Intended for tests and diagnostics.
+        iteration, with copies. Intended for tests and diagnostics: a
+        hooked fit holds an n x k matrix of responsibilities for it.
 
     Returns
     -------
@@ -390,17 +468,11 @@ def em_fit(xs: np.ndarray, cfg: EMConfig, iteration_hook: IterationHook | None =
         raise DegenerateSampleError("mixture fit needs a non-constant sample")
     var_floor = _VAR_FLOOR * span * span
 
-    k0 = math.isqrt(n)
-    gamma = _random_start(n, k0, cfg.seed)
-    # the fit's one n x k buffer: the component count only shrinks, so
-    # every later gamma is the front of it
-    flat = gamma.reshape(-1)
-
+    gamma = _Responsibilities(x, math.isqrt(n), cfg.seed)
+    mass, weighted = gamma.sums()
     prev_ll = None
     stop_reason = "max_iter"
     for it in range(1, MAX_ITER + 1):
-        k = gamma.shape[1]
-        mass, weighted = _both(n, k, partial(gamma.sum, axis=0), partial(np.einsum, "i,ij->j", x, gamma))
         surplus = np.maximum(mass - ANNIHILATION, 0.0)
         if not math.isfinite(surplus.sum()):
             raise DegenerateSampleError(_OUT_OF_RANGE)
@@ -408,22 +480,24 @@ def em_fit(xs: np.ndarray, cfg: EMConfig, iteration_hook: IterationHook | None =
         keep = surplus > 0.0
         dropped = not bool(keep.all())
         if dropped:
-            surplus = surplus[keep]
-            mass = mass[keep]
-            gamma = _drop_columns(flat, gamma, keep)
-            weighted = np.einsum("i,ij->j", x, gamma)
+            surplus, mass, weighted = surplus[keep], mass[keep], weighted[keep]
+            if surplus.size == 1:
+                # einsum sums one column with a kernel of its own
+                weighted = np.einsum("i,ij->j", x, gamma.hold_column(keep))
         weights = surplus / surplus.sum()
 
         locations = weighted / mass
-        variances = _variance_sums(x, locations, gamma) / mass
+        variances = gamma.variance_sums(locations, keep if dropped else None) / mass
         bandwidths = np.sqrt(np.maximum(variances, var_floor))
         finite = np.isfinite(locations).all() and np.isfinite(bandwidths).all()
         if not (finite and bandwidths.min() > 0.0):
             raise DegenerateSampleError(_OUT_OF_RANGE)
 
-        ll = _responsibilities(bandwidths, weights, gamma)
+        hooked = None if iteration_hook is None else np.empty((n, locations.size))
+        mass, weighted = gamma.sums(_e_step_params(locations, bandwidths, weights), hooked)
+        ll = _log_likelihood(gamma.peak, gamma.norm)
         if iteration_hook is not None:
-            iteration_hook(it, weights.copy(), gamma.copy())
+            iteration_hook(it, weights.copy(), hooked)
 
         if prev_ll is not None and not dropped:
             rel = (ll - prev_ll) / max(abs(prev_ll), 1e-300)
@@ -436,7 +510,7 @@ def em_fit(xs: np.ndarray, cfg: EMConfig, iteration_hook: IterationHook | None =
 
     return MixtureState(
         locations=locations, bandwidths=bandwidths, weights=weights,
-        assignments=_assignments(gamma), iterations=it,
+        assignments=gamma.assignments, iterations=it,
         log_likelihood=ll, stop_reason=stop_reason,
     )
 

@@ -560,22 +560,61 @@ def test_score_with_an_overflowing_window_exits_one(tmp_path, capsys):
     assert not curve.exists()
 
 
-def test_out_of_memory_exits_one_with_an_error_line(tmp_path):
-    # 300,000 rows start the fit at isqrt(n) = 547 components, and one
-    # n x k buffer of them is 1.22 GiB, past the child's 1 GiB address
-    # space. A fit on bins, which holds no n x k buffer, will run this to
-    # exit 0 instead. The limit is set in the child only; never run this
-    # case without it.
-    resource = pytest.importorskip("resource")
+def tall_column(tmp_path):
+    """A 300,000-row numeric column; a fit starts it at isqrt(n) = 547 components."""
     xs = np.random.default_rng(5).normal(0.0, 1.0, 300_000)
     data = tmp_path / "tall.csv"
     data.write_text("x\n" + "\n".join(map(repr, xs.tolist())) + "\n", encoding="utf-8")
+    return xs, data
+
+
+def test_a_fit_whose_matrix_would_pass_the_address_space_limit_runs(tmp_path):
+    # one n x k matrix of the column would be 1.22 GiB, past the child's
+    # 1 GiB address space; the fit holds no such matrix. The limit is set
+    # in the child only.
+    resource = pytest.importorskip("resource")
+    xs, data = tall_column(tmp_path)
 
     def limit_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     child = python("-m", "outprop.cli", "mine", "--data", str(data), "--outlier", "0",
                    "--omega", "0.5", preexec_fn=limit_address_space, timeout=120)
-    assert child.returncode == 1
-    assert child.stderr.startswith("error: out of memory: Unable to allocate 1.22 GiB")
+    assert child.returncode == 0, child.stderr
+    meta, conditions = map(json.loads, child.stdout.splitlines()[:2])
+    assert meta["dataset"] == {"attributes": 1, "rows": 300_000}
+    assert conditions["record"] == "conditions"
+    (fit,) = conditions["intervals"]
+    assert (fit["attribute"], fit["components"], fit["stop_reason"]) == ("x", 547, "tol")
+    (item,) = conditions["items"]
+    assert item["lower"] <= xs[0] <= item["upper"]
+
+
+# Runs mine on a tiny table first, so that every module mine loads is
+# mapped, then limits the process's address space to what it maps plus
+# 8 MiB (Linux: /proc/self/statm) and mines the tall table
+_OUT_OF_MEMORY_CHILD = """
+import os, resource, sys
+from outprop.cli import main
+tiny, tall = sys.argv[1:]
+assert main(["mine", "--data", tiny, "--outlier", "0", "--omega", "0.5"]) == 0
+with open("/proc/self/statm") as fh:
+    limit = int(fh.read().split()[0]) * os.sysconf("SC_PAGE_SIZE") + (8 << 20)
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+sys.exit(main(["mine", "--data", tall, "--outlier", "0", "--omega", "0.5"]))
+"""
+
+
+def test_out_of_memory_exits_one_with_an_error_line(tmp_path):
+    # mine on the tall table needs 16 to 24 MiB past what the process has
+    # mapped, for the parsed column, the fit's n-vectors and its blocks
+    pytest.importorskip("resource")
+    if not Path("/proc/self/statm").exists():
+        pytest.skip("reads the mapped size from /proc")
+    _, tall = tall_column(tmp_path)
+    tiny = tmp_path / "tiny.csv"
+    tiny.write_text("x\n1.0\n2.0\n3.5\n4.0\n", encoding="utf-8")
+    child = python("-c", _OUT_OF_MEMORY_CHILD, str(tiny), str(tall), timeout=120)
+    assert child.returncode == 1, child.stderr
+    assert child.stderr.splitlines()[-1].startswith("error: out of memory")
     assert "Traceback" not in child.stderr

@@ -12,7 +12,7 @@ from scipy.special import logsumexp
 
 from outprop import EMConfig, MixtureState, em_fit, intervals, natural_interval
 from outprop.errors import DegenerateSampleError, PreconditionError
-from outprop.intervals import _both, _in_row_blocks, _random_start, _responsibilities, _variance_sums
+from outprop.intervals import _e_step, _e_step_params, _log_likelihood, _Responsibilities, _sweep
 
 
 def two_clusters(seed=0, n=50, gap=5.0):
@@ -48,9 +48,11 @@ def fit_with_final_responsibilities(xs, cfg):
 
 
 def e_step(x, locations, bandwidths, weights):
-    """Responsibilities and log-likelihood, from squared deviations in a fresh n x k buffer."""
-    gamma = np.square(x[:, None] - locations)
-    return gamma, _responsibilities(bandwidths, weights, gamma)
+    """Responsibilities and log-likelihood of the fit's E-step, in a fresh n x k buffer."""
+    n = x.size
+    gamma, peak, norm = np.empty((n, locations.size)), np.empty(n), np.empty(n)
+    _e_step(x, _e_step_params(locations, bandwidths, weights), gamma, peak, norm)
+    return gamma, _log_likelihood(peak, norm)
 
 
 def allow_cpus(monkeypatch, cpus):
@@ -153,51 +155,78 @@ def whole_matrix_e_step(x, locations, bandwidths, weights):
 
 @pytest.mark.parametrize("block_rows", [1000, 64, 7, 1])
 def test_row_blocks_on_two_threads_are_bit_equal_to_whole_matrix_passes(monkeypatch, block_rows):
-    # 1000 rows fit one block; 64 and 7 leave a partial last block
-    x, locations, bandwidths, weights = random_mixture(np.random.default_rng(31), 1000, 13)
-    expected_gamma, expected_ll = whole_matrix_e_step(x, locations, bandwidths, weights)
-    monkeypatch.setattr(intervals, "_BLOCK_BYTES", 8 * 13 * block_rows)
+    # the responsibilities a hooked fit copies out of its row blocks after
+    # its fifth iteration; 1000 rows fit one block at k0 = 31, 64 and 7
+    # leave a partial last block
+    x = np.random.default_rng(31).normal(0.0, 4.0, 1000)
+    monkeypatch.setattr(intervals, "_BLOCK_BYTES", 8 * 31 * block_rows)
+    monkeypatch.setattr(intervals, "MAX_ITER", 5)
     allow_cpus(monkeypatch, {0, 1})
-    gamma, ll = e_step(x, locations, bandwidths, weights)
+    state, gamma = fit_with_final_responsibilities(x, EMConfig(seed=3))
+    expected_gamma, expected_ll = whole_matrix_e_step(x, state.locations, state.bandwidths, state.weights)
     assert gamma.tobytes() == expected_gamma.tobytes()
-    assert ll == expected_ll
+    assert state.log_likelihood == expected_ll
+
+
+def random_start(n, k, seed):
+    gamma = np.random.default_rng(seed).random((n, k))
+    gamma /= gamma.sum(axis=1, keepdims=True)
+    return gamma
 
 
 @pytest.mark.parametrize("cpus", [{0}, {0, 1}])
 @pytest.mark.parametrize("block_rows", [1000, 64, 7, 1])
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 13, 141])
-def test_carried_variance_sums_are_bit_equal_to_einsum(monkeypatch, k, block_rows, cpus):
-    # from four columns on, each half of the columns is summed on a thread of its own
+def test_carried_column_sums_are_bit_equal_to_whole_matrix_sums(monkeypatch, k, block_rows, cpus):
+    # the mass, location and variance sums carried from block to block,
+    # from the random start and from an E-step, with and without a drop
     monkeypatch.setattr(intervals, "_BLOCK_BYTES", 8 * k * block_rows)
     allow_cpus(monkeypatch, cpus)
     rng = np.random.default_rng(37)
     for n in (50, 150, 1000, 5000):
-        x, locations, _, _ = random_mixture(rng, n, k)
-        gamma = rng.random((n, k))
-        gamma /= gamma.sum(axis=1, keepdims=True)
+        x, locations, bandwidths, weights = random_mixture(rng, n, k)
+        gamma = _Responsibilities(x, k, seed=n)
+        start = random_start(n, k, seed=n)
+        mass, weighted = gamma.sums()
+        assert mass.tobytes() == start.sum(axis=0).tobytes(), n
+        assert weighted.tobytes() == np.einsum("i,ij->j", x, start).tobytes(), n
         sq_dev = np.square(x[:, None] - locations)
-        expected = np.einsum("ij,ij->j", gamma, sq_dev)
-        assert _variance_sums(x, locations, gamma).tobytes() == expected.tobytes(), n
-        # the E-step starts from the squared deviations the pass leaves behind
-        assert gamma.tobytes() == sq_dev.tobytes(), n
+        expected = np.einsum("ij,ij->j", start, sq_dev)
+        assert gamma.variance_sums(locations).tobytes() == expected.tobytes(), n
+
+        resp, _ = whole_matrix_e_step(x, locations, bandwidths, weights)
+        mass, weighted = gamma.sums(_e_step_params(locations, bandwidths, weights))
+        assert mass.tobytes() == resp.sum(axis=0).tobytes(), n
+        assert weighted.tobytes() == np.einsum("i,ij->j", x, resp).tobytes(), n
+        assert gamma.assignments.tobytes() == np.argmax(resp, axis=1).tobytes(), n
+        if k > 2:
+            keep = np.arange(k) % 3 != 1
+            kept = locations[keep] + 0.5
+            expected = np.einsum("ij,ij->j", resp[:, keep], np.square(x[:, None] - kept))
+            assert gamma.variance_sums(kept, keep).tobytes() == expected.tobytes(), n
 
 
 @pytest.mark.parametrize("cpus", [{0}, {0, 1}])
 @pytest.mark.parametrize("n, k, block_rows", [
     (1000, 13, 64),  # a partial last block
-    (1000, 13, 7),  # a partial last block in each half
+    (1000, 13, 7),  # a partial last block on each lane
     (1000, 13, 1000),  # a single block
     (9, 3, 1),  # one row a block
     (20000, 141, None),  # the benchmark's shape, at the default block size
 ])
 @pytest.mark.parametrize("seed", [0, 5, (3, 4)])
 def test_random_start_is_the_whole_matrix_draw_normalized(monkeypatch, n, k, block_rows, seed, cpus):
+    # each lane's generator skips the other lane's blocks; the start is
+    # drawn once for its sums and again when a drop leaves one column
     if block_rows is not None:
         monkeypatch.setattr(intervals, "_BLOCK_BYTES", 8 * k * block_rows)
     allow_cpus(monkeypatch, cpus)
-    expected = np.random.default_rng(seed).random((n, k))
-    expected /= expected.sum(axis=1, keepdims=True)
-    assert _random_start(n, k, seed).tobytes() == expected.tobytes()
+    expected = random_start(n, k, seed)
+    gamma = _Responsibilities(np.zeros(n), k, seed)
+    mass, _ = gamma.sums()
+    assert mass.tobytes() == expected.sum(axis=0).tobytes()
+    keep = np.arange(k) == k - 1
+    assert gamma.hold_column(keep).tobytes() == expected[:, keep].tobytes()
 
 
 def two_buffer_em_fit(xs, cfg):
@@ -248,29 +277,55 @@ def mixed_gap_column():
     return np.where(left, rng.uniform(-3.0, -1.0, 20000), rng.uniform(1.0, 3.0, 20000))
 
 
-@pytest.mark.parametrize("column, seeds, block_bytes, components", [
-    # every seed ends at one component, where einsum's variance sum has
-    # rounding of its own
-    pytest.param(lambda: np.random.default_rng(0).random(7), range(6), None, {1}, id="seven-rows"),
-    # 70 components dropping to 62, 35 and 24, over blocks of 300 rows at k = 70
-    pytest.param(lambda: np.random.default_rng(0).exponential(size=5000) ** 4, range(3), 8 * 70 * 300,
-                 {62, 35, 24}, id="exponential-5000"),
-    pytest.param(mixed_gap_column, [0], None, {141}, id="mixed-gap"),
-    # 12 components dropping to 2 and 3, where the variance pass keeps its
-    # columns whole: a one-column half would be summed pairwise
-    pytest.param(lambda: np.random.default_rng(7).exponential(size=150) ** 20, range(8), None, {2, 3},
-                 id="150-rows"),
+# (id, column, seeds, components, block rows at the start: None for the
+# default block size)
+TWO_BUFFER_FITS = [
+    # n < 4 starts from one component, held whole from the start
+    ("three-rows", lambda: np.array([0.3, -1.2, 2.5]), range(3), {1}, [None]),
+    # every seed ends at one component, where einsum's sums have rounding
+    # of their own
+    ("seven-rows", lambda: np.random.default_rng(0).random(7), range(6), {1}, [None, 7, 1]),
+    # 70 components dropping to 62, 35 and 24 over 511 iterations, too
+    # many for blocks of a few rows
+    ("exponential-5000", lambda: np.random.default_rng(0).exponential(size=5000) ** 4, range(3),
+     {62, 35, 24}, [None, 300]),
+    ("mixed-gap", mixed_gap_column, [0], {141}, [None, 7]),
+    # 12 components dropping to 2 and 3
+    ("150-rows", lambda: np.random.default_rng(7).exponential(size=150) ** 20, range(8), {2, 3}, [None, 7, 1]),
+]
+
+
+@pytest.fixture(scope="module")
+def two_buffer_fits():
+    """The two-buffer fit of each column and seed, computed once for the module."""
+    fits = {}
+
+    def fit(name, column, seed):
+        if (name, seed) not in fits:
+            fits[name, seed] = two_buffer_em_fit(column(), EMConfig(seed=seed))
+        return fits[name, seed]
+
+    return fit
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
+@pytest.mark.parametrize("name, column, seeds, components, block_rows", [
+    pytest.param(name, column, seeds, components, rows, id=f"{name}-{rows or 'default'}")
+    for name, column, seeds, components, block_rows in TWO_BUFFER_FITS
+    for rows in block_rows
 ])
-def test_fit_is_bit_equal_to_the_two_buffer_fit(monkeypatch, column, seeds, block_bytes, components):
-    if block_bytes is not None:
-        monkeypatch.setattr(intervals, "_BLOCK_BYTES", block_bytes)
-    allow_cpus(monkeypatch, {0, 1})
+def test_fit_is_bit_equal_to_the_two_buffer_fit(monkeypatch, two_buffer_fits, name, column, seeds, components,
+                                                block_rows, cpus):
     xs = column()
+    if block_rows is not None:
+        # blocks of block_rows rows at the start; they grow as components die
+        monkeypatch.setattr(intervals, "_BLOCK_BYTES", 8 * math.isqrt(xs.size) * block_rows)
+    allow_cpus(monkeypatch, cpus)
     seen = set()
     for seed in seeds:
-        got, expected = em_fit(xs, EMConfig(seed=seed)), two_buffer_em_fit(xs, EMConfig(seed=seed))
-        for name in ("assignments", "locations", "bandwidths", "weights"):
-            assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), (seed, name)
+        got, expected = em_fit(xs, EMConfig(seed=seed)), two_buffer_fits(name, column, seed)
+        for field_name in ("assignments", "locations", "bandwidths", "weights"):
+            assert getattr(got, field_name).tobytes() == getattr(expected, field_name).tobytes(), (seed, field_name)
         assert (got.log_likelihood, got.iterations, got.stop_reason) == (
             expected.log_likelihood, expected.iterations, expected.stop_reason,
         ), seed
@@ -301,34 +356,52 @@ def test_fit_is_bit_equal_with_one_worker_and_with_two(monkeypatch):
     )
 
 
-def test_a_worker_exception_reaches_the_caller(monkeypatch):
-    # ten blocks of ten rows; the worker takes the last five
-    monkeypatch.setattr(intervals, "_BLOCK_BYTES", 80)
-    allow_cpus(monkeypatch, {0, 1})
+def test_a_worker_exception_reaches_the_caller():
+    # ten blocks: the worker takes the odd ones and fails on the last
+    blocks = [slice(i, i + 10) for i in range(0, 100, 10)]
+    threads = threading.active_count()
+    folded = []
 
-    def work(blocks):
-        if blocks[-1].start == 90:
+    def step(lane, rows):
+        if rows.start == 90:
             raise ValueError("last block")
+        return rows
 
     with pytest.raises(ValueError, match="last block"):
-        _in_row_blocks(100, 1, work)
+        _sweep(blocks, 2, step, folded.append)
+    assert folded in (blocks[:8], blocks[:9])
+    assert threading.active_count() == threads
+
+    def step_on_caller(lane, rows):
+        if rows.start == 40:
+            raise ValueError("caller's block")
+        return rows
+
+    with pytest.raises(ValueError, match="caller's block"):
+        _sweep(blocks, 2, step_on_caller, lambda rows: None)
+    assert threading.active_count() == threads
 
 
-def test_the_worker_runs_under_the_caller_s_error_state(monkeypatch):
-    # ten blocks of 100 rows; only the worker's half, the last 500 rows,
-    # overflows when scaled
-    monkeypatch.setattr(intervals, "_BLOCK_BYTES", 8 * 13 * 100)
-    allow_cpus(monkeypatch, {0, 1})
-    gamma = np.zeros((1000, 13))
-    gamma[500:] = 1e300
+def test_the_worker_runs_under_the_caller_s_error_state():
+    # only block 1, one of the worker's, overflows
+    blocks = [slice(i, i + 100) for i in range(0, 1000, 100)]
+    caller = threading.current_thread()
+    values = np.zeros(1000)
+    values[100:200] = 1e300
+
+    def step(lane, rows):
+        assert (threading.current_thread() is caller) == (lane == 0)
+        return np.square(values[rows])
+
     with np.errstate(over="raise"):
         with pytest.raises(FloatingPointError):
-            _responsibilities(np.full(13, 1e-5), np.full(13, 1 / 13), gamma)
+            _sweep(blocks, 2, step, lambda block: None)
 
 
-def test_column_halves_raise_on_the_caller_under_its_error_state(monkeypatch):
-    # six columns in three blocks: the worker takes the last three
-    # columns, and only their deviations overflow when squared
+def test_variance_sweep_raises_on_the_caller_under_its_error_state(monkeypatch):
+    # six columns over 300 rows, in blocks of 50 rows in the variance
+    # sweep; the deviations from the last three locations overflow when
+    # squared, on both lanes
     monkeypatch.setattr(intervals, "_BLOCK_BYTES", 8 * 6 * 100)
     allow_cpus(monkeypatch, {0, 1})
     started = []
@@ -336,39 +409,64 @@ def test_column_halves_raise_on_the_caller_under_its_error_state(monkeypatch):
     monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or start(self))
     x = np.linspace(0.0, 1.0, 300)
     locations = np.array([0.0, 0.5, 1.0, 1e200, 2e200, 3e200])
-    gamma = np.full((300, 6), 1 / 6)
+    gamma = _Responsibilities(x, 6, seed=0)
+    gamma.sums()
     with np.errstate(over="raise"):
         with pytest.raises(FloatingPointError):
-            _variance_sums(x, locations, gamma)
-    assert len(started) == 1
+            gamma.variance_sums(locations)
+    assert len(started) == 2
     with np.errstate(over="ignore"):
-        sums = _variance_sums(x, locations, np.full((300, 6), 1 / 6))
+        sums = gamma.variance_sums(locations)
     assert np.all(np.isfinite(sums[:3])) and np.all(np.isinf(sums[3:]))
 
 
-def test_both_runs_the_second_call_on_a_worker_for_two_blocks_on_two_cpus(monkeypatch):
-    monkeypatch.setattr(intervals, "_BLOCK_BYTES", 8 * 10 * 100)
+def test_sweeps_run_odd_blocks_on_a_worker_and_fold_in_block_order():
     caller = threading.current_thread()
+    blocks = [slice(i, i + 10) for i in range(0, 70, 10)]
+    for lanes, count, on_worker in ((2, 7, {10, 30, 50}), (2, 1, set()), (1, 7, set())):
+        stepped, folded = {}, []
 
-    def on_caller():
-        return threading.current_thread() is caller
+        def step(lane, rows):
+            stepped[rows.start] = (lane, threading.current_thread() is caller)
+            return rows.start
 
-    for cpus, n, inline in (({0, 1}, 101, False), ({0, 1}, 100, True), ({0}, 101, True)):
-        allow_cpus(monkeypatch, cpus)
-        assert _both(n, 10, lambda: 1, on_caller) == (1, inline), (cpus, n)
+        _sweep(blocks[:count], lanes, step, folded.append)
+        assert folded == [rows.start for rows in blocks[:count]]
+        assert {start for start, (lane, _) in stepped.items() if lane == 1} == on_worker
+        assert {start for start, (_, inline) in stepped.items() if not inline} == on_worker
 
 
-def test_threaded_e_steps_under_fast_switching_are_bit_equal(monkeypatch):
-    x, locations, bandwidths, weights = random_mixture(np.random.default_rng(35), 3000, 29)
-    expected_gamma, expected_ll = whole_matrix_e_step(x, locations, bandwidths, weights)
-    monkeypatch.setattr(intervals, "_BLOCK_BYTES", 8 * 29 * 50)
+def test_a_fit_runs_inline_where_no_thread_can_be_started(monkeypatch):
+    xs = np.random.default_rng(33).normal(0.0, 1.0, 3000)
+    monkeypatch.setattr(intervals, "_BLOCK_BYTES", 8 * 54 * 50)
+    allow_cpus(monkeypatch, {0, 1})
+    expected = em_fit(xs, EMConfig(seed=2))
+
+    def refuse(self):
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    got = em_fit(xs, EMConfig(seed=2))
+    for name in ("assignments", "locations", "bandwidths", "weights"):
+        assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
+    assert got.log_likelihood == expected.log_likelihood
+
+
+def test_threaded_fits_under_fast_switching_are_bit_equal(monkeypatch):
+    # 3000 rows start at 54 components, in 60 blocks of 50 rows
+    xs = np.random.default_rng(35).normal(0.0, 4.0, 3000)
+    expected = two_buffer_em_fit(xs, EMConfig(seed=4))
+    monkeypatch.setattr(intervals, "_BLOCK_BYTES", 8 * 54 * 50)
     allow_cpus(monkeypatch, {0, 1})
     results = []
 
     def repeat():
-        for _ in range(50):
-            gamma, ll = e_step(x, locations, bandwidths, weights)
-            results.append(gamma.tobytes() == expected_gamma.tobytes() and ll == expected_ll)
+        for _ in range(10):
+            got = em_fit(xs, EMConfig(seed=4))
+            results.append(all(
+                getattr(got, name).tobytes() == getattr(expected, name).tobytes()
+                for name in ("assignments", "locations", "bandwidths", "weights")
+            ) and got.log_likelihood == expected.log_likelihood)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -379,17 +477,18 @@ def test_threaded_e_steps_under_fast_switching_are_bit_equal(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not caller.is_alive()
-    assert results == [True] * 50
+    assert results == [True] * 10
 
 
 @pytest.mark.parametrize("xs, components", [
     (np.random.default_rng(23).normal(0.0, 1.0, 20000), 141),
-    # components die, so the buffer is squeezed in place
+    # components die, so the variance sweep compresses its blocks
     (np.random.default_rng(0).exponential(size=20000) ** 4, 123),
 ], ids=["normal", "dropping"])
-def test_fit_peak_memory_is_one_n_by_k_matrix_and_two_blocks(xs, components):
+def test_fit_peak_memory_is_a_few_blocks_and_n_vectors(xs, components):
+    # no n x k matrix: two buffers of about a block for each of two
+    # threads, and the fit's n-vectors
     n = xs.size
-    k0 = math.isqrt(n)
     tracemalloc.start()
     try:
         state = em_fit(xs, EMConfig(seed=1))
@@ -398,7 +497,7 @@ def test_fit_peak_memory_is_one_n_by_k_matrix_and_two_blocks(xs, components):
         tracemalloc.stop()
     assert state.assignments.shape == (n,)
     assert state.components == components
-    assert peak <= n * k0 * 8 + 2 * intervals._BLOCK_BYTES + 4 * n * 8
+    assert peak <= 4 * intervals._BLOCK_BYTES + 8 * n * 8
 
 
 def test_same_seed_same_fit():
