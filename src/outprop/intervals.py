@@ -13,61 +13,41 @@ the contiguous run of sorted values around it whose rows share its
 component. Categorical columns skip all of this: their natural condition
 (``miner.natural_conditions``) is equality with the value.
 
-The fit holds no n x k matrix. The responsibilities of an iteration are
-fixed by its parameters (each component's location, bandwidth and
-weight) together with two n-vectors, each row's log-joint peak and row
-sum, and before the first E-step by the seed. So every iteration makes
-two sweeps over blocks of about ``_BLOCK_BYTES`` of rows, and each sweep
-recomputes a block's responsibilities where it needs them:
+The fit runs on at most ``GROUPS`` groups of rows, not on the rows
+(EM for grouped data; McLachlan & Jones, Biometrics 44, 1988). A column
+of at most ``GROUPS`` rows is its own grouping: each row is a group of
+one, in row order. A longer column is sorted once and cut into runs of
+about n / ``GROUPS`` consecutive values, and equal values never fall in
+two groups. Each group carries its row count c, its mean mu and its
+within-group sum of squared deviations W.
 
-- The sums sweep runs after the random start and after every M-step. It
-  draws a block of the start, or computes the block's E-step: the log
-  joint log w - log b - (x - m)^2 / (2 b^2) - log(2 pi) / 2,
-  row-normalized by a max-shift log-sum-exp (subtract each row's peak,
-  exponentiate, divide by the row sum). It keeps the peaks and row sums
-  and writes each row's argmax into the assignments. The log-likelihood
-  is the sum of the logs of the row sums plus the sum of the peaks. The
-  peak term is exp(0) = 1, so a row whose every joint underflows in
-  linear space still normalizes to finite values. The sweep then adds
-  the block to the mass and location sums of the next M-step.
-- The variance sweep recomputes the same responsibilities from the stored
-  peaks and row sums, which skips the two row reductions; in the first
-  iteration it redraws the start from a fresh generator. It keeps the
-  columns of the components that survive, weighs (x - m)^2 under the new
-  locations by them and adds the block to the variance sums.
+Every row of a group takes the group's responsibilities, the E-step at
+the group's mean: the log joint log w - log b - (mu - m)^2 / (2 b^2) -
+log(2 pi) / 2, row-normalized by a max-shift log-sum-exp (subtract each
+group's peak, exponentiate, divide by the group's sum). The peak term is
+exp(0) = 1, so a group whose every joint underflows in linear space still
+normalizes to finite values. The M-step over the rows then reduces to
+sums over the groups: a component's mass is the sum of c * gamma, its
+location sum that of c * mu * gamma, and its variance sum that of
+gamma * (c * (mu - m)^2 + W), because the squared deviations of a
+group's rows from m sum to c * (mu - m)^2 + W. The log-likelihood is the
+sum of c * (log norm + peak) over the groups, each group's sum and peak
+counted once for each of its rows.
 
-No bit changes for this. A row's responsibilities depend on that row and
-the parameters alone, so a recomputed value is the value computed
-before. Each column sum is carried from block to block and so adds the
-rows in order, as a whole-matrix sum(axis=0) or einsum over the rows
-does: the mass and location sums start each block from a carry row put
-on top of it, and the variance sums add the carry to the block's first
-weighted row. numpy sums one column with kernels of its own, so one
-component's responsibilities are held whole, as an n x 1 matrix, and get
-the whole-column calls. A fit's memory is thus O(n) plus a few blocks. A
-fit with an ``iteration_hook`` also copies every E-step into an n x k
-matrix for the hook.
-
-Where the process may run on two or more CPUs and the start spans two or
-more blocks, each sweep runs on two threads (``_sweep``): the calling
-thread takes the even blocks and one worker thread the odd ones. Each
-thread computes its blocks in buffers of its own, all allocated on the
-calling thread, and adds a block to the carried sums only after the other
-thread has added the block before, so no bit depends on the thread
-count. The worker runs in a copy of the caller's context, so under its
-np.errstate, and is joined before the sweep returns; numpy releases the
-interpreter lock inside each step. On one CPU, for a single block, or
-where no thread can be started, every block runs on the calling thread.
+With c = 1 and W = 0 every product and sum is the one a fit over the
+rows computes, so a fit of at most ``GROUPS`` rows is bit for bit that
+fit. The fit holds one G x k matrix of responsibilities and one scratch
+matrix of the same size, and an iteration costs O(G k) whatever n is;
+the grouping costs one sort and a few n-vectors. A fit with an
+``iteration_hook`` also copies every E-step into an n x k matrix of the
+rows' responsibilities for the hook.
 """
 
 from __future__ import annotations
 
-import contextvars
 import math
-import os
-import threading
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -87,9 +67,8 @@ MAX_ITER = 500
 # N = 2 parameters of a 1-D Gaussian (Figueiredo & Jain, 2002)
 ANNIHILATION = 1.0
 
-# Bytes of the responsibilities in one block of a sweep, small enough for
-# the block to stay in cache across its steps
-_BLOCK_BYTES = 1 << 20
+# Most groups of rows a fit runs on
+GROUPS = 1024
 
 # A column whose values are too large or too close together can take the
 # fit out of float64's range. Rescaling the column first would keep it in
@@ -138,75 +117,45 @@ class MixtureState:
         return float(self.locations.max() - self.locations.min())
 
 
-def _block_rows(k: int) -> int:
-    """Rows in one block of an n x k float64 sweep, about _BLOCK_BYTES."""
-    return max(1, _BLOCK_BYTES // (8 * k))
+class _Groups(NamedTuple):
+    """The groups of rows a fit runs on, in ascending order of value.
 
-
-def _row_blocks(n: int, k: int) -> list[slice]:
-    """Consecutive blocks of rows of an n x k float64 sweep, about _BLOCK_BYTES each."""
-    step = _block_rows(k)
-    return [slice(start, min(start + step, n)) for start in range(0, n, step)]
-
-
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _sweep(blocks: list[slice], lanes: int, step: Callable, fold: Callable) -> None:
-    """fold(step(lane, rows)) for every block of rows, the folds in block order.
-
-    step does a block's row-local work in the buffers of its lane, and fold
-    adds the block to sums carried from block to block. With two lanes and
-    two or more blocks, the calling thread (lane 0) takes the even blocks
-    and one worker thread (lane 1) the odd ones. A lane folds its block
-    only after the other lane has folded the block before, so the carried
-    sums add the rows in order whichever thread computed them. The worker
-    runs in a copy of the caller's context, so the caller's np.errstate
-    holds on it, and it is joined before this returns; its exception, if
-    any, is raised here. Otherwise, and where no thread can be started,
-    every block runs inline on lane 0.
+    Each group's row count, mean and within-group sum of squared
+    deviations, and ``lows``, each group's smallest value; ``lows`` is None
+    where row i is group i.
     """
-    turns = (threading.Semaphore(1), threading.Semaphore(0))
-    errors = []
 
-    def run(lane):
-        try:
-            for rows in blocks[lane::2]:
-                block = step(lane, rows)
-                turns[lane].acquire()
-                if errors:
-                    return
-                fold(block)
-                turns[1 - lane].release()
-        except BaseException as exc:
-            # wake the other lane, which stops at its next turn; the
-            # worker's exception is raised on the calling thread below
-            errors.append(exc)
-            turns[1 - lane].release()
-            if lane == 0:
-                raise
+    counts: np.ndarray
+    means: np.ndarray
+    within: np.ndarray
+    lows: np.ndarray | None
 
-    worker = None
-    if lanes == 2 and len(blocks) > 1:
-        worker = threading.Thread(target=contextvars.copy_context().run, args=(run, 1))
-        try:
-            worker.start()
-        except RuntimeError:  # no thread to be had, as under a tight address-space limit
-            worker = None
-    if worker is None:
-        for rows in blocks:
-            fold(step(0, rows))
-        return
-    try:
-        run(0)
-    finally:
-        worker.join()
-    if errors:
-        raise errors[0]
+    def of_rows(self, x: np.ndarray, per_group: np.ndarray) -> np.ndarray:
+        """A new array of per_group's entry for each row of x, the column grouped."""
+        if self.lows is None:
+            return per_group.copy()
+        return per_group[np.searchsorted(self.lows, x, side="right") - 1]
+
+
+def _group(x: np.ndarray) -> _Groups:
+    """At most ``GROUPS`` runs of the sorted column; equal values share a run.
+
+    Each run starts at a cut i * n // GROUPS, moved back to the first of
+    the values equal to the one there. A column of at most ``GROUPS``
+    rows is its own grouping, one row a group in row order.
+    """
+    n = x.size
+    if n <= GROUPS:
+        return _Groups(np.ones(n), x, np.zeros(n), None)
+    s = np.sort(x)
+    starts = np.searchsorted(s, s[np.arange(GROUPS) * n // GROUPS], side="left")
+    starts = starts[np.diff(starts, prepend=-1) > 0]
+    counts = np.diff(starts, append=n).astype(np.float64)
+    means = np.add.reduceat(s, starts) / counts
+    deviations = np.repeat(means, counts.astype(np.intp))
+    np.subtract(s, deviations, out=deviations)
+    within = np.add.reduceat(np.square(deviations, out=deviations), starts)
+    return _Groups(counts, means, within, s[starts])
 
 
 def _squared_deviations(x_rows, locations, out):
@@ -220,205 +169,96 @@ def _squared_deviations(x_rows, locations, out):
     return np.square(out, out=out)
 
 
-def _e_step_params(locations, bandwidths, weights) -> tuple:
-    """The E-step's (locations, scale, shift).
+def _e_step(groups: _Groups, locations, bandwidths, weights, gamma) -> float:
+    """Fill gamma with each group's responsibilities and return the log-likelihood.
 
-    log w_j + log N(x; m_j, b_j^2) = (x - m_j)^2 * scale_j + shift_j.
+    The log joint at each group's mean is row-normalized by a max-shift
+    log-sum-exp: subtract the group's peak, exponentiate, divide by the
+    group's sum. Each group's sum and peak count once for each of its rows.
     """
-    scale = -0.5 / (bandwidths * bandwidths)
-    shift = np.log(weights) - np.log(bandwidths) - 0.5 * _LOG_2PI
-    return locations, scale, shift
+    _squared_deviations(groups.means, locations, gamma)
+    gamma *= -0.5 / (bandwidths * bandwidths)
+    gamma += np.log(weights) - np.log(bandwidths) - 0.5 * _LOG_2PI
+    peak = gamma.max(axis=1)
+    gamma -= peak[:, None]
+    np.exp(gamma, out=gamma)
+    norm = gamma.sum(axis=1)
+    gamma /= norm[:, None]
+    return float(np.sum(groups.counts * np.log(norm)) + np.sum(groups.counts * peak))
 
 
-def _e_step(x_rows, params, g, peak, norm, known=False):
-    """Fill g with the responsibilities of x_rows under params (``_e_step_params``).
+def _m_step(groups: _Groups, gamma, mass, scratch) -> tuple[np.ndarray, np.ndarray]:
+    """Each component's location and variance over the rows, from sums over the groups.
 
-    The log joint is row-normalized by a max-shift log-sum-exp: subtract the
-    row's peak, exponentiate, divide by the row sum. peak and norm receive
-    each row's peak and sum; where they are known from an E-step under the
-    same parameters, the two row reductions are skipped.
+    mass holds each component's sum of c * gamma. The location sums are
+    those of c * mu * gamma, the variance sums those of
+    gamma * (c * (mu - m)^2 + W). scratch is a matrix of gamma's shape.
     """
-    locations, scale, shift = params
-    _squared_deviations(x_rows, locations, g)
-    g *= scale
-    g += shift
-    if not known:
-        np.max(g, axis=1, out=peak)
-    g -= peak[:, None]
-    np.exp(g, out=g)
-    if not known:
-        np.sum(g, axis=1, out=norm)
-    g /= norm[:, None]
-    return g
+    counts = groups.counts[:, None]
+    locations = np.einsum("i,ij->j", groups.means, np.multiply(gamma, counts, out=scratch)) / mass
+    spread = _squared_deviations(groups.means, locations, scratch)
+    spread *= counts
+    spread += groups.within[:, None]
+    return locations, np.einsum("ij,ij->j", gamma, spread) / mass
 
 
-def _log_likelihood(peak, norm) -> float:
-    """The sample log-likelihood from each row's log-joint peak and shifted sum."""
-    return float(np.sum(np.log(norm)) + np.sum(peak))
+def _fit(groups: _Groups, k: int, seed, var_floor: float, hook: Callable | None) -> MixtureState:
+    """The fit on the groups; its ``assignments`` are each group's component.
 
-
-class _Responsibilities:
-    """The responsibilities of one fit, recomputed block by block, never held whole.
-
-    They are fixed by the last E-step's parameters together with each
-    row's peak and row sum, or, before the first E-step, by the seed. One
-    component's responsibilities are held whole, as an n x 1 ``column``.
-    ``assignments`` holds each row's argmax under the last E-step.
+    The responsibilities and the scratch matrix are G x k views of two
+    buffers, which trade places when a drop compresses the kept columns.
+    hook(it, weights, gamma) runs after every iteration.
     """
+    g = groups.counts.size
+    buffers = [np.empty(g * k), np.empty(g * k)]
 
-    def __init__(self, x: np.ndarray, k: int, seed):
-        n = x.size
-        self.x, self.k, self.seed = x, k, seed
-        self.params = None  # ``_e_step_params`` of the last E-step
-        self.peak, self.norm = np.empty(n), np.empty(n)
-        self.assignments = np.empty(n, dtype=np.intp)
-        self.column = None
-        self.buffers = []
-        if k == 1:
-            self.column = np.random.default_rng(seed).random((n, 1))
-            self.column /= self.column.sum(axis=1, keepdims=True)
-            return
-        lanes = 2 if n > _block_rows(k) and _cpus() >= 2 else 1
-        # one buffer a lane holds a block and its carry row, or the rows of
-        # half a block twice, for any k <= k0
-        self.buffers = [np.empty(_BLOCK_BYTES // 8 + 2 * k) for _ in range(lanes)]
+    def matrix(buffer, columns):
+        return buffer[: g * columns].reshape(g, columns)
 
-    def _draws(self) -> Callable:
-        """draw(lane, rows, g): rows of default_rng(seed).random((n, k)) into g.
+    gamma = matrix(buffers[0], k)
+    np.random.default_rng(seed).random(out=gamma)
+    gamma /= gamma.sum(axis=1)[:, None]
+    prev_ll = None
+    stop_reason = "max_iter"
+    for it in range(1, MAX_ITER + 1):
+        mass = np.multiply(gamma, groups.counts[:, None], out=matrix(buffers[1], gamma.shape[1])).sum(axis=0)
+        surplus = np.maximum(mass - ANNIHILATION, 0.0)
+        if not math.isfinite(surplus.sum()):
+            raise DegenerateSampleError(_OUT_OF_RANGE)
 
-        Each lane has a generator of its own, made here on the calling
-        thread, that skips the rows of the other lane's blocks: PCG64 spends
-        one draw on each float64, so every value is the whole-matrix draw's.
-        """
-        k = self.k
-        rngs = [np.random.default_rng(self.seed) for _ in self.buffers]
-        drawn = [0] * len(rngs)
+        keep = surplus > 0.0
+        dropped = not bool(keep.all())
+        if dropped:
+            surplus, mass = surplus[keep], mass[keep]
+            # mode="raise", np.compress's, would copy through a scratch matrix
+            kept = matrix(buffers[1], mass.size)
+            gamma = np.take(gamma, np.flatnonzero(keep), axis=1, out=kept, mode="clip")
+            buffers.reverse()
+        weights = surplus / surplus.sum()
 
-        def draw(lane, rows, g):
-            rngs[lane].bit_generator.advance(rows.start * k - drawn[lane])
-            rngs[lane].random(out=g)
-            drawn[lane] = rows.stop * k
+        locations, variances = _m_step(groups, gamma, mass, matrix(buffers[1], mass.size))
+        bandwidths = np.sqrt(np.maximum(variances, var_floor))
+        finite = np.isfinite(locations).all() and np.isfinite(bandwidths).all()
+        if not (finite and bandwidths.min() > 0.0):
+            raise DegenerateSampleError(_OUT_OF_RANGE)
 
-        return draw
+        ll = _e_step(groups, locations, bandwidths, weights, gamma)
+        if hook is not None:
+            hook(it, weights, gamma)
 
-    def _recall(self) -> Callable:
-        """recall(lane, rows, g): fill g with the rows' last responsibilities and return it."""
-        if self.params is not None:
-            x, params, peak, norm = self.x, self.params, self.peak, self.norm
-            return lambda lane, rows, g: _e_step(x[rows], params, g, peak[rows], norm[rows], known=True)
-        draw = self._draws()
-
-        def redraw(lane, rows, g):
-            draw(lane, rows, g)
-            g /= self.norm[rows, None]
-            return g
-
-        return redraw
-
-    def _block(self, lane: int, r: int, k: int, offset: int = 0) -> np.ndarray:
-        """An r x k matrix in the lane's buffer, from its float offset on."""
-        return self.buffers[lane][offset : offset + r * k].reshape(r, k)
-
-    def sums(self, params=None, hooked=None):
-        """Column sums of gamma and of x * gamma over the new responsibilities.
-
-        gamma is the random start without params, and otherwise the E-step
-        under params (``_e_step_params``), which also keeps each
-        row's peak and row sum, writes its argmax into ``assignments`` and,
-        where ``hooked`` is given, copies the responsibilities into it. The
-        sums round as gamma.sum(axis=0) and np.einsum("i,ij->j", x, gamma)
-        do: each block's sums start from the carry of the block before, put
-        in a row on top of it.
-        """
-        x = self.x
-        if self.column is not None:
-            if params is not None:
-                _e_step(x, params, self.column, self.peak, self.norm)
-                np.argmax(self.column, axis=1, out=self.assignments)
-                if hooked is not None:
-                    hooked[...] = self.column
-            self.params = params
-            return self.column.sum(axis=0), np.einsum("i,ij->j", x, self.column)
-        k = self.k if params is None else params[0].size
-        draw = self._draws() if params is None else None
-        mass, weighted = np.zeros(k), np.zeros(k)
-        # each lane's [1, x_rows]: the weights of the carry row and the rows
-        row_weights = [np.empty(_block_rows(k) + 1) for _ in self.buffers]
-
-        def step(lane, rows):
-            top = self._block(lane, rows.stop - rows.start + 1, k)
-            g = top[1:]
-            if params is None:
-                draw(lane, rows, g)
-                g /= np.sum(g, axis=1, out=self.norm[rows])[:, None]
-            else:
-                _e_step(x[rows], params, g, self.peak[rows], self.norm[rows])
-                np.argmax(g, axis=1, out=self.assignments[rows])
-            if hooked is not None:
-                hooked[rows] = g
-            weights = row_weights[lane][: top.shape[0]]
-            weights[0] = 1.0
-            weights[1:] = x[rows]
-            return top, weights
-
-        def fold(block):
-            top, weights = block
-            top[0] = mass
-            np.sum(top, axis=0, out=mass)
-            top[0] = weighted
-            np.einsum("i,ij->j", weights, top, out=weighted)
-
-        _sweep(_row_blocks(x.size, k), len(self.buffers), step, fold)
-        self.k, self.params = k, params
-        return mass, weighted
-
-    def hold_column(self, keep: np.ndarray) -> np.ndarray:
-        """Hold the one kept column of the responsibilities whole, and return it."""
-        column = np.empty((self.x.size, 1))
-        (j,) = np.flatnonzero(keep)
-        recall = self._recall()
-
-        def step(lane, rows):
-            column[rows, 0] = recall(lane, rows, self._block(lane, rows.stop - rows.start, self.k))[:, j]
-
-        _sweep(_row_blocks(self.x.size, self.k), len(self.buffers), step, lambda block: None)
-        self.column, self.buffers = column, []
-        return column
-
-    def variance_sums(self, locations: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
-        """Column sums of gamma * (x - m)^2 over gamma's kept columns.
-
-        They round as np.einsum("ij,ij->j") rounds them: for two or more
-        columns einsum adds the rows in order, one running sum per column,
-        and each block adds the carry to its first row before it sums its
-        columns. For one column einsum has a kernel of its own, so the n x 1
-        column gets the einsum whole.
-        """
-        x = self.x
-        k = locations.size
-        if self.column is not None:
-            return np.einsum("ij,ij->j", self.column, _squared_deviations(x, locations, np.empty((x.size, 1))))
-        kept = None if keep is None else np.flatnonzero(keep)
-        recall = self._recall()
-        sums = np.zeros(k)
-
-        def step(lane, rows):
-            r = rows.stop - rows.start
-            g = recall(lane, rows, self._block(lane, r, self.k))
-            sq_dev = self._block(lane, r, k, offset=r * self.k)
-            if kept is not None:
-                # mode="raise", np.compress's, would copy through a scratch block
-                g, sq_dev = np.take(g, kept, axis=1, out=sq_dev, mode="clip"), self._block(lane, r, k)
-            g *= _squared_deviations(x[rows], locations, sq_dev)
-            return g
-
-        def fold(g):
-            g[0] += sums
-            np.sum(g, axis=0, out=sums)
-
-        # a block and its squared deviations share the lane's buffer
-        _sweep(_row_blocks(x.size, 2 * self.k), len(self.buffers), step, fold)
-        return sums
+        if prev_ll is not None and not dropped:
+            rel = (ll - prev_ll) / max(abs(prev_ll), 1e-300)
+            # a dip is not convergence: the pruning weight rule is not a
+            # proper M-step, so the likelihood may fall; keep iterating
+            if 0.0 <= rel < TOL:
+                stop_reason = "tol"
+                break
+        prev_ll = ll
+    return MixtureState(
+        locations=locations, bandwidths=bandwidths, weights=weights,
+        assignments=np.argmax(gamma, axis=1), iterations=it,
+        log_likelihood=ll, stop_reason=stop_reason,
+    )
 
 
 def em_fit(xs: np.ndarray, cfg: EMConfig, iteration_hook: IterationHook | None = None) -> MixtureState:
@@ -431,8 +271,9 @@ def em_fit(xs: np.ndarray, cfg: EMConfig, iteration_hook: IterationHook | None =
     cfg : EMConfig
     iteration_hook : callable, optional
         Called as hook(iteration, weights, responsibilities) after every
-        iteration, with copies. Intended for tests and diagnostics: a
-        hooked fit holds an n x k matrix of responsibilities for it.
+        iteration, with copies; row i's responsibilities are its group's.
+        Intended for tests and diagnostics: a hooked fit builds an n x k
+        matrix of responsibilities for it.
 
     Returns
     -------
@@ -468,51 +309,14 @@ def em_fit(xs: np.ndarray, cfg: EMConfig, iteration_hook: IterationHook | None =
         raise DegenerateSampleError("mixture fit needs a non-constant sample")
     var_floor = _VAR_FLOOR * span * span
 
-    gamma = _Responsibilities(x, math.isqrt(n), cfg.seed)
-    mass, weighted = gamma.sums()
-    prev_ll = None
-    stop_reason = "max_iter"
-    for it in range(1, MAX_ITER + 1):
-        surplus = np.maximum(mass - ANNIHILATION, 0.0)
-        if not math.isfinite(surplus.sum()):
-            raise DegenerateSampleError(_OUT_OF_RANGE)
+    groups = _group(x)
+    hook = None
+    if iteration_hook is not None:
+        def hook(it, weights, gamma):
+            iteration_hook(it, weights.copy(), groups.of_rows(x, gamma))
 
-        keep = surplus > 0.0
-        dropped = not bool(keep.all())
-        if dropped:
-            surplus, mass, weighted = surplus[keep], mass[keep], weighted[keep]
-            if surplus.size == 1:
-                # einsum sums one column with a kernel of its own
-                weighted = np.einsum("i,ij->j", x, gamma.hold_column(keep))
-        weights = surplus / surplus.sum()
-
-        locations = weighted / mass
-        variances = gamma.variance_sums(locations, keep if dropped else None) / mass
-        bandwidths = np.sqrt(np.maximum(variances, var_floor))
-        finite = np.isfinite(locations).all() and np.isfinite(bandwidths).all()
-        if not (finite and bandwidths.min() > 0.0):
-            raise DegenerateSampleError(_OUT_OF_RANGE)
-
-        hooked = None if iteration_hook is None else np.empty((n, locations.size))
-        mass, weighted = gamma.sums(_e_step_params(locations, bandwidths, weights), hooked)
-        ll = _log_likelihood(gamma.peak, gamma.norm)
-        if iteration_hook is not None:
-            iteration_hook(it, weights.copy(), hooked)
-
-        if prev_ll is not None and not dropped:
-            rel = (ll - prev_ll) / max(abs(prev_ll), 1e-300)
-            # a dip is not convergence: the pruning weight rule is not a
-            # proper M-step, so the likelihood may fall; keep iterating
-            if 0.0 <= rel < TOL:
-                stop_reason = "tol"
-                break
-        prev_ll = ll
-
-    return MixtureState(
-        locations=locations, bandwidths=bandwidths, weights=weights,
-        assignments=gamma.assignments, iterations=it,
-        log_likelihood=ll, stop_reason=stop_reason,
-    )
+    state = _fit(groups, math.isqrt(n), cfg.seed, var_floor, hook)
+    return replace(state, assignments=groups.of_rows(x, state.assignments))
 
 
 def natural_interval(xs: np.ndarray, o_value: float, state: MixtureState) -> tuple[float, float]:

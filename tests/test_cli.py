@@ -560,9 +560,9 @@ def test_score_with_an_overflowing_window_exits_one(tmp_path, capsys):
     assert not curve.exists()
 
 
-def tall_column(tmp_path):
-    """A 300,000-row numeric column; a fit starts it at isqrt(n) = 547 components."""
-    xs = np.random.default_rng(5).normal(0.0, 1.0, 300_000)
+def tall_column(tmp_path, rows=300_000):
+    """A numeric column of 300,000 rows; a fit starts it at isqrt(n) = 547 components."""
+    xs = np.random.default_rng(5).normal(0.0, 1.0, rows)
     data = tmp_path / "tall.csv"
     data.write_text("x\n" + "\n".join(map(repr, xs.tolist())) + "\n", encoding="utf-8")
     return xs, data
@@ -570,8 +570,8 @@ def tall_column(tmp_path):
 
 def test_a_fit_whose_matrix_would_pass_the_address_space_limit_runs(tmp_path):
     # one n x k matrix of the column would be 1.22 GiB, past the child's
-    # 1 GiB address space; the fit holds no such matrix. The limit is set
-    # in the child only.
+    # 1 GiB address space; the fit holds two GROUPS x k matrices instead.
+    # The limit is set in the child only.
     resource = pytest.importorskip("resource")
     xs, data = tall_column(tmp_path)
 
@@ -586,6 +586,28 @@ def test_a_fit_whose_matrix_would_pass_the_address_space_limit_runs(tmp_path):
     assert conditions["record"] == "conditions"
     (fit,) = conditions["intervals"]
     assert (fit["attribute"], fit["components"], fit["stop_reason"]) == ("x", 547, "tol")
+    (item,) = conditions["items"]
+    assert item["lower"] <= xs[0] <= item["upper"]
+
+
+def test_a_million_row_column_mines_within_a_cpu_limit(tmp_path):
+    # the fit runs on 1,024 groups of the sorted column, so its iterations
+    # cost the same at 1M rows as at 20,000; a fit over the rows took 40 s
+    # of CPU here. The limits are set in the child only.
+    resource = pytest.importorskip("resource")
+    xs, data = tall_column(tmp_path, rows=1_000_000)
+
+    def limit_address_space_and_cpu():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+        resource.setrlimit(resource.RLIMIT_CPU, (15, 15))
+
+    child = python("-m", "outprop.cli", "mine", "--data", str(data), "--outlier", "0",
+                   "--omega", "0.5", preexec_fn=limit_address_space_and_cpu, timeout=120)
+    assert child.returncode == 0, child.stderr
+    meta, conditions = map(json.loads, child.stdout.splitlines()[:2])
+    assert meta["dataset"] == {"attributes": 1, "rows": 1_000_000}
+    (fit,) = conditions["intervals"]
+    assert (fit["attribute"], fit["components"]) == ("x", 1000)
     (item,) = conditions["items"]
     assert item["lower"] <= xs[0] <= item["upper"]
 
@@ -606,8 +628,9 @@ sys.exit(main(["mine", "--data", tall, "--outlier", "0", "--omega", "0.5"]))
 
 
 def test_out_of_memory_exits_one_with_an_error_line(tmp_path):
-    # mine on the tall table needs 16 to 24 MiB past what the process has
-    # mapped, for the parsed column, the fit's n-vectors and its blocks
+    # mine on the tall table needs more than 8 MiB past what the process
+    # has mapped, for the parsed column, the grouping's n-vectors and the
+    # fit's two matrices
     pytest.importorskip("resource")
     if not Path("/proc/self/statm").exists():
         pytest.skip("reads the mapped size from /proc")

@@ -1,18 +1,17 @@
 """Self-pruning mixture fit and the natural interval of a value."""
 
 import math
-import os
-import sys
-import threading
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from outprop import EMConfig, MixtureState, em_fit, intervals, natural_interval
 from outprop.errors import DegenerateSampleError, PreconditionError
-from outprop.intervals import _e_step, _e_step_params, _log_likelihood, _Responsibilities, _sweep
+from outprop.intervals import GROUPS, _group
 
 
 def two_clusters(seed=0, n=50, gap=5.0):
@@ -48,16 +47,10 @@ def fit_with_final_responsibilities(xs, cfg):
 
 
 def e_step(x, locations, bandwidths, weights):
-    """Responsibilities and log-likelihood of the fit's E-step, in a fresh n x k buffer."""
-    n = x.size
-    gamma, peak, norm = np.empty((n, locations.size)), np.empty(n), np.empty(n)
-    _e_step(x, _e_step_params(locations, bandwidths, weights), gamma, peak, norm)
-    return gamma, _log_likelihood(peak, norm)
-
-
-def allow_cpus(monkeypatch, cpus):
-    """Make the fit see the CPU set cpus, whatever the host has."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    """Responsibilities and log-likelihood of the fit's E-step on at most GROUPS rows."""
+    gamma = np.empty((x.size, locations.size))
+    ll = intervals._e_step(_group(x), locations, bandwidths, weights, gamma)
+    return gamma, ll
 
 
 def test_fit_shape_and_invariants():
@@ -134,14 +127,8 @@ def test_fused_e_step_matches_the_logsumexp_reference():
         np.testing.assert_allclose(gamma.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
 
 
-def random_mixture(rng, n, k):
-    x = rng.normal(0.0, 4.0, n)
-    return x, rng.normal(0.0, 3.0, k), rng.uniform(0.5, 2.0, k), rng.dirichlet(np.ones(k))
-
-
 def whole_matrix_e_step(x, locations, bandwidths, weights):
-    # the same arithmetic as whole-matrix calls: the reference the row
-    # blocks must match bit for bit
+    # the E-step as whole-matrix calls on the rows
     gamma = np.square(x[:, None] - locations)
     gamma *= -0.5 / (bandwidths * bandwidths)
     gamma += np.log(weights) - np.log(bandwidths) - 0.5 * math.log(2.0 * math.pi)
@@ -153,88 +140,12 @@ def whole_matrix_e_step(x, locations, bandwidths, weights):
     return gamma, float(np.sum(np.log(norm)) + np.sum(peak))
 
 
-@pytest.mark.parametrize("block_rows", [1000, 64, 7, 1])
-def test_row_blocks_on_two_threads_are_bit_equal_to_whole_matrix_passes(monkeypatch, block_rows):
-    # the responsibilities a hooked fit copies out of its row blocks after
-    # its fifth iteration; 1000 rows fit one block at k0 = 31, 64 and 7
-    # leave a partial last block
-    x = np.random.default_rng(31).normal(0.0, 4.0, 1000)
-    monkeypatch.setattr(intervals, "_BLOCK_BYTES", 8 * 31 * block_rows)
-    monkeypatch.setattr(intervals, "MAX_ITER", 5)
-    allow_cpus(monkeypatch, {0, 1})
-    state, gamma = fit_with_final_responsibilities(x, EMConfig(seed=3))
-    expected_gamma, expected_ll = whole_matrix_e_step(x, state.locations, state.bandwidths, state.weights)
-    assert gamma.tobytes() == expected_gamma.tobytes()
-    assert state.log_likelihood == expected_ll
-
-
-def random_start(n, k, seed):
-    gamma = np.random.default_rng(seed).random((n, k))
-    gamma /= gamma.sum(axis=1, keepdims=True)
-    return gamma
-
-
-@pytest.mark.parametrize("cpus", [{0}, {0, 1}])
-@pytest.mark.parametrize("block_rows", [1000, 64, 7, 1])
-@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 13, 141])
-def test_carried_column_sums_are_bit_equal_to_whole_matrix_sums(monkeypatch, k, block_rows, cpus):
-    # the mass, location and variance sums carried from block to block,
-    # from the random start and from an E-step, with and without a drop
-    monkeypatch.setattr(intervals, "_BLOCK_BYTES", 8 * k * block_rows)
-    allow_cpus(monkeypatch, cpus)
-    rng = np.random.default_rng(37)
-    for n in (50, 150, 1000, 5000):
-        x, locations, bandwidths, weights = random_mixture(rng, n, k)
-        gamma = _Responsibilities(x, k, seed=n)
-        start = random_start(n, k, seed=n)
-        mass, weighted = gamma.sums()
-        assert mass.tobytes() == start.sum(axis=0).tobytes(), n
-        assert weighted.tobytes() == np.einsum("i,ij->j", x, start).tobytes(), n
-        sq_dev = np.square(x[:, None] - locations)
-        expected = np.einsum("ij,ij->j", start, sq_dev)
-        assert gamma.variance_sums(locations).tobytes() == expected.tobytes(), n
-
-        resp, _ = whole_matrix_e_step(x, locations, bandwidths, weights)
-        mass, weighted = gamma.sums(_e_step_params(locations, bandwidths, weights))
-        assert mass.tobytes() == resp.sum(axis=0).tobytes(), n
-        assert weighted.tobytes() == np.einsum("i,ij->j", x, resp).tobytes(), n
-        assert gamma.assignments.tobytes() == np.argmax(resp, axis=1).tobytes(), n
-        if k > 2:
-            keep = np.arange(k) % 3 != 1
-            kept = locations[keep] + 0.5
-            expected = np.einsum("ij,ij->j", resp[:, keep], np.square(x[:, None] - kept))
-            assert gamma.variance_sums(kept, keep).tobytes() == expected.tobytes(), n
-
-
-@pytest.mark.parametrize("cpus", [{0}, {0, 1}])
-@pytest.mark.parametrize("n, k, block_rows", [
-    (1000, 13, 64),  # a partial last block
-    (1000, 13, 7),  # a partial last block on each lane
-    (1000, 13, 1000),  # a single block
-    (9, 3, 1),  # one row a block
-    (20000, 141, None),  # the benchmark's shape, at the default block size
-])
-@pytest.mark.parametrize("seed", [0, 5, (3, 4)])
-def test_random_start_is_the_whole_matrix_draw_normalized(monkeypatch, n, k, block_rows, seed, cpus):
-    # each lane's generator skips the other lane's blocks; the start is
-    # drawn once for its sums and again when a drop leaves one column
-    if block_rows is not None:
-        monkeypatch.setattr(intervals, "_BLOCK_BYTES", 8 * k * block_rows)
-    allow_cpus(monkeypatch, cpus)
-    expected = random_start(n, k, seed)
-    gamma = _Responsibilities(np.zeros(n), k, seed)
-    mass, _ = gamma.sums()
-    assert mass.tobytes() == expected.sum(axis=0).tobytes()
-    keep = np.arange(k) == k - 1
-    assert gamma.hold_column(keep).tobytes() == expected[:, keep].tobytes()
-
-
 def two_buffer_em_fit(xs, cfg):
-    """em_fit written as whole-matrix calls on a second n x k matrix.
+    """em_fit over the rows, written as whole-matrix calls on a second n x k matrix.
 
     The squared deviations get their own matrix, a drop copies the kept
     columns into a new one, and the variance sum is one einsum. em_fit must
-    match it bit for bit.
+    match it bit for bit on a column of at most GROUPS rows.
     """
     x = np.asarray(xs, dtype=np.float64)
     n = x.size
@@ -270,60 +181,30 @@ def two_buffer_em_fit(xs, cfg):
     )
 
 
-def mixed_gap_column():
-    """A 20,000-row column shaped like the benchmark's x_gap2: two uniform clusters."""
-    rng = np.random.default_rng(43)
-    left = rng.random(20000) < 0.5
-    return np.where(left, rng.uniform(-3.0, -1.0, 20000), rng.uniform(1.0, 3.0, 20000))
-
-
-# (id, column, seeds, components, block rows at the start: None for the
-# default block size)
+# (id, column, seeds, components): columns of at most GROUPS rows, each
+# row a group of its own
 TWO_BUFFER_FITS = [
-    # n < 4 starts from one component, held whole from the start
-    ("three-rows", lambda: np.array([0.3, -1.2, 2.5]), range(3), {1}, [None]),
+    # n < 4 starts from one component
+    ("three-rows", lambda: np.array([0.3, -1.2, 2.5]), range(3), {1}),
     # every seed ends at one component, where einsum's sums have rounding
     # of their own
-    ("seven-rows", lambda: np.random.default_rng(0).random(7), range(6), {1}, [None, 7, 1]),
-    # 70 components dropping to 62, 35 and 24 over 511 iterations, too
-    # many for blocks of a few rows
-    ("exponential-5000", lambda: np.random.default_rng(0).exponential(size=5000) ** 4, range(3),
-     {62, 35, 24}, [None, 300]),
-    ("mixed-gap", mixed_gap_column, [0], {141}, [None, 7]),
+    ("seven-rows", lambda: np.random.default_rng(0).random(7), range(6), {1}),
     # 12 components dropping to 2 and 3
-    ("150-rows", lambda: np.random.default_rng(7).exponential(size=150) ** 20, range(8), {2, 3}, [None, 7, 1]),
+    ("150-rows", lambda: np.random.default_rng(7).exponential(size=150) ** 20, range(8), {2, 3}),
+    # the longest column that is its own grouping: 32 components dropping
+    # to 15 and 19
+    ("1024-rows", lambda: np.random.default_rng(0).exponential(size=GROUPS) ** 4, range(3), {15, 19}),
 ]
 
 
-@pytest.fixture(scope="module")
-def two_buffer_fits():
-    """The two-buffer fit of each column and seed, computed once for the module."""
-    fits = {}
-
-    def fit(name, column, seed):
-        if (name, seed) not in fits:
-            fits[name, seed] = two_buffer_em_fit(column(), EMConfig(seed=seed))
-        return fits[name, seed]
-
-    return fit
-
-
-@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
-@pytest.mark.parametrize("name, column, seeds, components, block_rows", [
-    pytest.param(name, column, seeds, components, rows, id=f"{name}-{rows or 'default'}")
-    for name, column, seeds, components, block_rows in TWO_BUFFER_FITS
-    for rows in block_rows
-])
-def test_fit_is_bit_equal_to_the_two_buffer_fit(monkeypatch, two_buffer_fits, name, column, seeds, components,
-                                                block_rows, cpus):
+@pytest.mark.parametrize("name, column, seeds, components", TWO_BUFFER_FITS,
+                         ids=[fit[0] for fit in TWO_BUFFER_FITS])
+def test_fit_is_bit_equal_to_the_two_buffer_fit(name, column, seeds, components):
     xs = column()
-    if block_rows is not None:
-        # blocks of block_rows rows at the start; they grow as components die
-        monkeypatch.setattr(intervals, "_BLOCK_BYTES", 8 * math.isqrt(xs.size) * block_rows)
-    allow_cpus(monkeypatch, cpus)
+    assert xs.size <= GROUPS
     seen = set()
     for seed in seeds:
-        got, expected = em_fit(xs, EMConfig(seed=seed)), two_buffer_fits(name, column, seed)
+        got, expected = em_fit(xs, EMConfig(seed=seed)), two_buffer_em_fit(xs, EMConfig(seed=seed))
         for field_name in ("assignments", "locations", "bandwidths", "weights"):
             assert getattr(got, field_name).tobytes() == getattr(expected, field_name).tobytes(), (seed, field_name)
         assert (got.log_likelihood, got.iterations, got.stop_reason) == (
@@ -333,161 +214,123 @@ def test_fit_is_bit_equal_to_the_two_buffer_fit(monkeypatch, two_buffer_fits, na
     assert seen == components
 
 
-def test_fit_is_bit_equal_with_one_worker_and_with_two(monkeypatch):
-    xs = np.random.default_rng(33).normal(0.0, 1.0, 20000)
-    fits = []
-    threads = threading.active_count()
-    started = []
-    start = threading.Thread.start
-    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or start(self))
-    # on one CPU every block runs on the calling thread
-    for cpus, workers in (({0}, False), ({0, 1}, True)):
-        allow_cpus(monkeypatch, cpus)
-        started.clear()
-        fits.append(fit_with_final_responsibilities(xs, EMConfig(seed=2)))
-        assert bool(started) == workers
-        assert threading.active_count() == threads
-    (one, gamma_one), (two, gamma_two) = fits
-    assert gamma_one.tobytes() == gamma_two.tobytes()
-    for name in ("assignments", "locations", "bandwidths", "weights"):
-        assert getattr(one, name).tobytes() == getattr(two, name).tobytes(), name
-    assert (one.log_likelihood, one.iterations, one.stop_reason) == (
-        two.log_likelihood, two.iterations, two.stop_reason,
-    )
+def mixed_gap_column():
+    """A 20,000-row column shaped like the benchmark's x_gap2: two uniform clusters."""
+    rng = np.random.default_rng(43)
+    left = rng.random(20000) < 0.5
+    return np.where(left, rng.uniform(-3.0, -1.0, 20000), rng.uniform(1.0, 3.0, 20000))
 
 
-def test_a_worker_exception_reaches_the_caller():
-    # ten blocks: the worker takes the odd ones and fails on the last
-    blocks = [slice(i, i + 10) for i in range(0, 100, 10)]
-    threads = threading.active_count()
-    folded = []
+def row_m_step(xs, counts, gamma):
+    """Mass, locations, variances and location scales of an M-step over the rows.
 
-    def step(lane, rows):
-        if rows.start == 90:
-            raise ValueError("last block")
-        return rows
-
-    with pytest.raises(ValueError, match="last block"):
-        _sweep(blocks, 2, step, folded.append)
-    assert folded in (blocks[:8], blocks[:9])
-    assert threading.active_count() == threads
-
-    def step_on_caller(lane, rows):
-        if rows.start == 40:
-            raise ValueError("caller's block")
-        return rows
-
-    with pytest.raises(ValueError, match="caller's block"):
-        _sweep(blocks, 2, step_on_caller, lambda rows: None)
-    assert threading.active_count() == threads
+    The rows are sorted by value, group g holds the next counts[g] of them,
+    and each row takes its group's responsibilities.
+    """
+    x = np.sort(xs)
+    rows = np.repeat(gamma, counts.astype(np.intp), axis=0)
+    mass = rows.sum(axis=0)
+    locations = np.einsum("i,ij->j", x, rows) / mass
+    variances = np.einsum("ij,ij->j", rows, np.square(x[:, None] - locations)) / mass
+    # the location sums cancel where a component spans values of both
+    # signs; their rounding is relative to the sums of |x| * gamma
+    scale = np.einsum("i,ij->j", np.abs(x), rows) / mass
+    return mass, locations, variances, scale
 
 
-def test_the_worker_runs_under_the_caller_s_error_state():
-    # only block 1, one of the worker's, overflows
-    blocks = [slice(i, i + 100) for i in range(0, 1000, 100)]
-    caller = threading.current_thread()
-    values = np.zeros(1000)
-    values[100:200] = 1e300
-
-    def step(lane, rows):
-        assert (threading.current_thread() is caller) == (lane == 0)
-        return np.square(values[rows])
-
-    with np.errstate(over="raise"):
-        with pytest.raises(FloatingPointError):
-            _sweep(blocks, 2, step, lambda block: None)
+# (id, column, seeds, components): columns of more than GROUPS rows
+GROUPED_FITS = [
+    # 70 components dropping to 26, 33 and 43
+    ("exponential-5000", lambda: np.random.default_rng(0).exponential(size=5000) ** 4, range(3), {26, 33, 43}),
+    ("mixed-gap", mixed_gap_column, [0], {141}),
+]
 
 
-def test_variance_sweep_raises_on_the_caller_under_its_error_state(monkeypatch):
-    # six columns over 300 rows, in blocks of 50 rows in the variance
-    # sweep; the deviations from the last three locations overflow when
-    # squared, on both lanes
-    monkeypatch.setattr(intervals, "_BLOCK_BYTES", 8 * 6 * 100)
-    allow_cpus(monkeypatch, {0, 1})
-    started = []
-    start = threading.Thread.start
-    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or start(self))
-    x = np.linspace(0.0, 1.0, 300)
-    locations = np.array([0.0, 0.5, 1.0, 1e200, 2e200, 3e200])
-    gamma = _Responsibilities(x, 6, seed=0)
-    gamma.sums()
-    with np.errstate(over="raise"):
-        with pytest.raises(FloatingPointError):
-            gamma.variance_sums(locations)
-    assert len(started) == 2
-    with np.errstate(over="ignore"):
-        sums = gamma.variance_sums(locations)
-    assert np.all(np.isfinite(sums[:3])) and np.all(np.isinf(sums[3:]))
+@pytest.mark.parametrize("name, column, seeds, components", GROUPED_FITS,
+                         ids=[fit[0] for fit in GROUPED_FITS])
+def test_grouped_sums_match_an_m_step_over_the_rows(monkeypatch, name, column, seeds, components):
+    xs = column()
+    m_step = intervals._m_step
+    steps = []
+
+    def checked_m_step(groups, gamma, mass, scratch):
+        locations, variances = m_step(groups, gamma, mass, scratch)
+        want_mass, want_locations, want_variances, scale = row_m_step(xs, groups.counts, gamma)
+        np.testing.assert_allclose(mass, want_mass, rtol=1e-12, atol=0.0)
+        assert np.all(np.abs(locations - want_locations) <= 1e-12 * scale)
+        np.testing.assert_allclose(variances, want_variances, rtol=1e-12, atol=0.0)
+        steps.append(groups)
+        return locations, variances
+
+    monkeypatch.setattr(intervals, "_m_step", checked_m_step)
+    seen = set()
+    for seed in seeds:
+        steps.clear()
+        state, gamma = fit_with_final_responsibilities(xs, EMConfig(seed=seed))
+        assert len(steps) == state.iterations
+        groups = steps[-1]
+        assert groups.counts.size == GROUPS
+        # each row, sorted by value, takes the E-step at its group's mean,
+        # and the log-likelihood counts every row there
+        row_means = np.repeat(groups.means, groups.counts.astype(np.intp))
+        expected, expected_ll, _ = reference_responsibilities(
+            row_means, state.locations, state.bandwidths, state.weights,
+        )
+        np.testing.assert_allclose(gamma[np.argsort(xs, kind="stable")], expected, rtol=0.0, atol=1e-12)
+        assert state.log_likelihood == pytest.approx(expected_ll, rel=1e-12, abs=0.0)
+        seen.add(state.components)
+    assert seen == components
 
 
-def test_sweeps_run_odd_blocks_on_a_worker_and_fold_in_block_order():
-    caller = threading.current_thread()
-    blocks = [slice(i, i + 10) for i in range(0, 70, 10)]
-    for lanes, count, on_worker in ((2, 7, {10, 30, 50}), (2, 1, set()), (1, 7, set())):
-        stepped, folded = {}, []
-
-        def step(lane, rows):
-            stepped[rows.start] = (lane, threading.current_thread() is caller)
-            return rows.start
-
-        _sweep(blocks[:count], lanes, step, folded.append)
-        assert folded == [rows.start for rows in blocks[:count]]
-        assert {start for start, (lane, _) in stepped.items() if lane == 1} == on_worker
-        assert {start for start, (_, inline) in stepped.items() if not inline} == on_worker
+@st.composite
+def columns(draw):
+    """Columns of up to 5,000 rows, from all-distinct to a handful of values."""
+    n = draw(st.integers(2, 5000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    distinct = draw(st.sampled_from([1, 2, 7, 500, 3000, None]))
+    if distinct is None:
+        return rng.normal(0.0, draw(st.sampled_from([1e-6, 1.0, 1e6])), n)
+    return rng.integers(0, distinct, n) * 0.1 - 3.0
 
 
-def test_a_fit_runs_inline_where_no_thread_can_be_started(monkeypatch):
-    xs = np.random.default_rng(33).normal(0.0, 1.0, 3000)
-    monkeypatch.setattr(intervals, "_BLOCK_BYTES", 8 * 54 * 50)
-    allow_cpus(monkeypatch, {0, 1})
-    expected = em_fit(xs, EMConfig(seed=2))
-
-    def refuse(self):
-        raise RuntimeError("can't start new thread")
-
-    monkeypatch.setattr(threading.Thread, "start", refuse)
-    got = em_fit(xs, EMConfig(seed=2))
-    for name in ("assignments", "locations", "bandwidths", "weights"):
-        assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
-    assert got.log_likelihood == expected.log_likelihood
-
-
-def test_threaded_fits_under_fast_switching_are_bit_equal(monkeypatch):
-    # 3000 rows start at 54 components, in 60 blocks of 50 rows
-    xs = np.random.default_rng(35).normal(0.0, 4.0, 3000)
-    expected = two_buffer_em_fit(xs, EMConfig(seed=4))
-    monkeypatch.setattr(intervals, "_BLOCK_BYTES", 8 * 54 * 50)
-    allow_cpus(monkeypatch, {0, 1})
-    results = []
-
-    def repeat():
-        for _ in range(10):
-            got = em_fit(xs, EMConfig(seed=4))
-            results.append(all(
-                getattr(got, name).tobytes() == getattr(expected, name).tobytes()
-                for name in ("assignments", "locations", "bandwidths", "weights")
-            ) and got.log_likelihood == expected.log_likelihood)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        caller = threading.Thread(target=repeat, daemon=True)
-        caller.start()
-        caller.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not caller.is_alive()
-    assert results == [True] * 10
+@given(columns())
+@settings(max_examples=200, deadline=None)
+def test_groups_are_runs_of_the_sorted_column(xs):
+    groups = _group(xs)
+    counts, means, within = groups.counts, groups.means, groups.within
+    n = xs.size
+    assert counts.size == means.size == within.size <= GROUPS
+    assert np.all(counts >= 1) and counts.sum() == n
+    assert np.all(within >= 0.0)
+    if n <= GROUPS:
+        assert groups.lows is None
+        assert means is xs and np.all(counts == 1) and np.all(within == 0.0)
+        return
+    x = np.sort(xs)
+    ends = np.cumsum(counts.astype(np.intp))
+    starts = ends - counts.astype(np.intp)
+    assert groups.lows.tobytes() == x[starts].tobytes()
+    # equal values share a group: each group starts above the last one's end
+    assert np.all(x[starts[1:] - 1] < x[starts[1:]])
+    if np.unique(xs).size == n:
+        # about n / GROUPS rows a group
+        assert counts.size == GROUPS and set(counts) <= {n // GROUPS, n // GROUPS + 1}
+    for g in range(0, counts.size, max(1, counts.size // 20)):
+        run = x[starts[g]:ends[g]]
+        assert means[g] == pytest.approx(run.mean(), rel=1e-12, abs=1e-300)
+        assert within[g] == pytest.approx(np.sum((run - run.mean()) ** 2), rel=1e-9, abs=1e-12 * run.size)
+    # of_rows gives each row its group's entry
+    group = groups.of_rows(xs, np.arange(counts.size))
+    assert np.all(x[starts][group] <= xs) and np.all(xs <= x[ends - 1][group])
 
 
 @pytest.mark.parametrize("xs, components", [
     (np.random.default_rng(23).normal(0.0, 1.0, 20000), 141),
-    # components die, so the variance sweep compresses its blocks
-    (np.random.default_rng(0).exponential(size=20000) ** 4, 123),
+    # components die, so the responsibilities move between the two buffers
+    (np.random.default_rng(0).exponential(size=20000) ** 4, 118),
 ], ids=["normal", "dropping"])
-def test_fit_peak_memory_is_a_few_blocks_and_n_vectors(xs, components):
-    # no n x k matrix: two buffers of about a block for each of two
-    # threads, and the fit's n-vectors
+def test_fit_peak_memory_is_two_group_matrices_and_a_few_n_vectors(xs, components):
+    # two GROUPS x floor(sqrt(n)) matrices, and the grouping's n-vectors
     n = xs.size
     tracemalloc.start()
     try:
@@ -497,7 +340,9 @@ def test_fit_peak_memory_is_a_few_blocks_and_n_vectors(xs, components):
         tracemalloc.stop()
     assert state.assignments.shape == (n,)
     assert state.components == components
-    assert peak <= 4 * intervals._BLOCK_BYTES + 8 * n * 8
+    assert peak <= 2 * 8 * GROUPS * math.isqrt(n) + 2 * 8 * n
+    # the row-block fit it replaced peaked at 2.64 MB on these columns
+    assert peak <= 2.64e6
 
 
 def test_same_seed_same_fit():
