@@ -196,8 +196,7 @@ def test_blas_pool_size_does_not_change_reports(tmp_path):
     reason="pins a child to one of two or more CPUs",
 )
 def test_one_cpu_and_all_cpus_write_the_same_reports(tmp_path):
-    # on one CPU the EM runs every pass inline; on two it splits rows and
-    # columns across two threads
+    # no report may depend on the CPUs the process may run on
     rng = np.random.default_rng(12)
     n = 20000
     xs = np.where(rng.random(n) < 0.5, rng.uniform(-3.0, -1.0, n), rng.uniform(1.0, 3.0, n))
