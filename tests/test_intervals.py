@@ -140,6 +140,165 @@ def whole_matrix_e_step(x, locations, bandwidths, weights):
     return gamma, float(np.sum(np.log(norm)) + np.sum(peak))
 
 
+def random_mixture(rng, n, k):
+    x = rng.normal(0.0, 4.0, n)
+    return x, rng.normal(0.0, 3.0, k), rng.uniform(0.5, 2.0, k), rng.dirichlet(np.ones(k))
+
+
+def random_start(g, k, seed):
+    gamma = np.random.default_rng(seed).random((g, k))
+    gamma /= gamma.sum(axis=1, keepdims=True)
+    return gamma
+
+
+def group_mass(groups, gamma):
+    # each component's sum of c * gamma, as the fit computes it
+    return np.multiply(gamma, groups.counts[:, None]).sum(axis=0)
+
+
+# (id, column, groups): the start is G x floor(sqrt(n))
+START_COLUMNS = [
+    ("nine-rows", lambda: np.random.default_rng(1).normal(size=9), 9),
+    ("1000-rows", lambda: np.random.default_rng(2).normal(size=1000), 1000),
+    ("1024-rows", lambda: np.random.default_rng(3).normal(size=GROUPS), GROUPS),
+    # one group of two rows
+    ("1025-rows", lambda: np.random.default_rng(4).normal(size=GROUPS + 1), GROUPS),
+    # the benchmark's shape: 1,024 groups and 141 components
+    ("20000-rows", lambda: np.random.default_rng(5).normal(size=20000), GROUPS),
+    # ties leave fewer groups than GROUPS
+    ("rounded-ties-3000", lambda: np.round(np.random.default_rng(6).normal(0.0, 1.0, 3000), 2), 414),
+    ("seven-values-5000", lambda: np.random.default_rng(7).integers(0, 7, 5000) * 0.5, 7),
+]
+
+
+@pytest.mark.parametrize("name, column, groups", START_COLUMNS, ids=[c[0] for c in START_COLUMNS])
+@pytest.mark.parametrize("seed", [0, 5, (3, 4)])
+def test_random_start_is_the_whole_matrix_draw_normalized(monkeypatch, name, column, groups, seed):
+    # the responsibilities and masses the first M-step sees: one G x k0
+    # draw, row-normalized, less the columns of mass at most ANNIHILATION
+    xs = column()
+    seen = []
+    m_step = intervals._m_step
+
+    def first_m_step(groups, gamma, mass, scratch):
+        seen.append((groups, gamma.copy(), mass.copy()))
+        return m_step(groups, gamma, mass, scratch)
+
+    monkeypatch.setattr(intervals, "_m_step", first_m_step)
+    monkeypatch.setattr(intervals, "MAX_ITER", 1)
+    em_fit(xs, EMConfig(seed=seed))
+    ((grouping, gamma, mass),) = seen
+    assert grouping.counts.size == groups
+    start = random_start(groups, math.isqrt(xs.size), seed)
+    expected_mass = group_mass(grouping, start)
+    keep = expected_mass > intervals.ANNIHILATION
+    assert gamma.tobytes() == start[:, keep].tobytes()
+    assert mass.tobytes() == expected_mass[keep].tobytes()
+
+
+@pytest.mark.parametrize("n", [50, 1000, GROUPS])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 13, 141])
+def test_m_step_on_groups_of_one_is_bit_equal_to_whole_matrix_sums(n, k):
+    # einsum runs other inner loops for other k; with c = 1 and W = 0 each
+    # product and sum is the row fit's, from the random start and from an
+    # E-step
+    rng = np.random.default_rng(37)
+    x, locations, bandwidths, weights = random_mixture(rng, n, k)
+    groups = _group(x)
+    for gamma in (random_start(n, k, seed=n), whole_matrix_e_step(x, locations, bandwidths, weights)[0]):
+        mass = group_mass(groups, gamma)
+        assert mass.tobytes() == gamma.sum(axis=0).tobytes()
+        got_locations, got_variances = intervals._m_step(groups, gamma, mass, np.empty_like(gamma))
+        expected = np.einsum("i,ij->j", x, gamma) / mass
+        assert got_locations.tobytes() == expected.tobytes()
+        expected = np.einsum("ij,ij->j", gamma, np.square(x[:, None] - expected)) / mass
+        assert got_variances.tobytes() == expected.tobytes()
+
+
+def mixed_gap_column():
+    """A 20,000-row column shaped like the benchmark's x_gap2: two uniform clusters."""
+    rng = np.random.default_rng(43)
+    left = rng.random(20000) < 0.5
+    return np.where(left, rng.uniform(-3.0, -1.0, 20000), rng.uniform(1.0, 3.0, 20000))
+
+
+# columns of more than GROUPS rows
+GROUPED_COLUMNS = {
+    # one group of two rows
+    "1025-rows": lambda: np.random.default_rng(1).normal(size=GROUPS + 1),
+    # one group of three rows, the others of two
+    "2049-rows": lambda: np.random.default_rng(2).exponential(size=2 * GROUPS + 1) ** 4,
+    "exponential-5000": lambda: np.random.default_rng(0).exponential(size=5000) ** 4,
+    # 458 groups, some of a single value
+    "rounded-ties-8000": lambda: np.round(np.random.default_rng(4).exponential(size=8000) ** 3, 2),
+    # a group a value, each holding about 430 rows
+    "seven-values-3000": lambda: np.random.default_rng(5).integers(0, 7, 3000) * 0.5,
+    "mixed-gap": mixed_gap_column,
+}
+GROUPED_IDS = list(GROUPED_COLUMNS)
+
+
+def row_m_step(xs, counts, gamma):
+    """Mass, locations, variances and location scales of an M-step over the rows.
+
+    The rows are sorted by value, group g holds the next counts[g] of them,
+    and each row takes its group's responsibilities.
+    """
+    x = np.sort(xs)
+    rows = np.repeat(gamma, counts.astype(np.intp), axis=0)
+    mass = rows.sum(axis=0)
+    locations = np.einsum("i,ij->j", x, rows) / mass
+    variances = np.einsum("ij,ij->j", rows, np.square(x[:, None] - locations)) / mass
+    # the location sums cancel where a component spans values of both
+    # signs; their rounding is relative to the sums of |x| * gamma
+    scale = np.einsum("i,ij->j", np.abs(x), rows) / mass
+    return mass, locations, variances, scale
+
+
+def grouped_mixture(xs, k, seed):
+    # components at k values of the column, each narrower than the column,
+    # so every component takes some mass
+    rng = np.random.default_rng(seed)
+    span = xs.max() - xs.min()
+    return rng.choice(xs, k), rng.uniform(0.01, 0.1, k) * span, rng.dirichlet(np.ones(k))
+
+
+@pytest.mark.parametrize("name", ["1025-rows", "exponential-5000", "rounded-ties-8000"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 13, 141])
+def test_grouped_m_step_matches_the_m_step_over_the_rows(name, k):
+    # the sums over groups against the rows, each taking its group's
+    # responsibilities, from the random start and from an E-step
+    xs = GROUPED_COLUMNS[name]()
+    groups = _group(xs)
+    g = groups.counts.size
+    locations, bandwidths, weights = grouped_mixture(xs, k, seed=k)
+    for gamma in (random_start(g, k, seed=k), whole_matrix_e_step(groups.means, locations, bandwidths, weights)[0]):
+        mass = group_mass(groups, gamma)
+        got_locations, got_variances = intervals._m_step(groups, gamma, mass, np.empty_like(gamma))
+        want_mass, want_locations, want_variances, scale = row_m_step(xs, groups.counts, gamma)
+        assert np.all(want_mass > 0.0)
+        np.testing.assert_allclose(mass, want_mass, rtol=1e-12, atol=0.0)
+        assert np.all(np.abs(got_locations - want_locations) <= 1e-12 * scale)
+        np.testing.assert_allclose(got_variances, want_variances, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("name", ["1025-rows", "exponential-5000", "rounded-ties-8000"])
+@pytest.mark.parametrize("k", [1, 2, 13, 141])
+def test_grouped_e_step_is_the_row_e_step_at_the_group_means(name, k):
+    # each group's responsibilities are the whole-matrix E-step at its
+    # mean, and the log-likelihood counts each group once for each row
+    xs = GROUPED_COLUMNS[name]()
+    groups = _group(xs)
+    locations, bandwidths, weights = grouped_mixture(xs, k, seed=k)
+    gamma = np.empty((groups.counts.size, k))
+    ll = intervals._e_step(groups, locations, bandwidths, weights, gamma)
+    expected, _ = whole_matrix_e_step(groups.means, locations, bandwidths, weights)
+    assert gamma.tobytes() == expected.tobytes()
+    row_means = np.repeat(groups.means, groups.counts.astype(np.intp))
+    _, expected_ll, _ = reference_responsibilities(row_means, locations, bandwidths, weights)
+    assert ll == pytest.approx(expected_ll, rel=1e-12, abs=0.0)
+
+
 def two_buffer_em_fit(xs, cfg):
     """em_fit over the rows, written as whole-matrix calls on a second n x k matrix.
 
@@ -194,6 +353,16 @@ TWO_BUFFER_FITS = [
     # the longest column that is its own grouping: 32 components dropping
     # to 15 and 19
     ("1024-rows", lambda: np.random.default_rng(0).exponential(size=GROUPS) ** 4, range(3), {15, 19}),
+    ("two-rows", lambda: np.array([1.0, 2.0]), range(3), {1}),
+    # ties among rows that are groups of their own
+    ("rounded-ties-400", lambda: np.round(np.random.default_rng(4).normal(0.0, 1.0, 400), 1), range(4),
+     {6, 12, 17, 19}),
+    # a saddle: near-symmetric starts stop after 3 iterations, none dropped
+    ("saddle-100", lambda: two_clusters(seed=2), range(2), {10}),
+    # values a millionth of their magnitude apart
+    ("offset-500", lambda: 1e6 + np.random.default_rng(8).exponential(size=500) ** 3 * 1e-3, range(3), {11, 12}),
+    ("descending-1000", lambda: -np.sort(np.random.default_rng(6).exponential(size=1000) ** 2), range(2), {13, 14}),
+    ("1023-rows", lambda: np.random.default_rng(3).normal(size=GROUPS - 1), range(3), {31}),
 ]
 
 
@@ -214,42 +383,21 @@ def test_fit_is_bit_equal_to_the_two_buffer_fit(name, column, seeds, components)
     assert seen == components
 
 
-def mixed_gap_column():
-    """A 20,000-row column shaped like the benchmark's x_gap2: two uniform clusters."""
-    rng = np.random.default_rng(43)
-    left = rng.random(20000) < 0.5
-    return np.where(left, rng.uniform(-3.0, -1.0, 20000), rng.uniform(1.0, 3.0, 20000))
-
-
-def row_m_step(xs, counts, gamma):
-    """Mass, locations, variances and location scales of an M-step over the rows.
-
-    The rows are sorted by value, group g holds the next counts[g] of them,
-    and each row takes its group's responsibilities.
-    """
-    x = np.sort(xs)
-    rows = np.repeat(gamma, counts.astype(np.intp), axis=0)
-    mass = rows.sum(axis=0)
-    locations = np.einsum("i,ij->j", x, rows) / mass
-    variances = np.einsum("ij,ij->j", rows, np.square(x[:, None] - locations)) / mass
-    # the location sums cancel where a component spans values of both
-    # signs; their rounding is relative to the sums of |x| * gamma
-    scale = np.einsum("i,ij->j", np.abs(x), rows) / mass
-    return mass, locations, variances, scale
-
-
-# (id, column, seeds, components): columns of more than GROUPS rows
+# (id, seeds, components, groups): columns of GROUPED_COLUMNS
 GROUPED_FITS = [
     # 70 components dropping to 26, 33 and 43
-    ("exponential-5000", lambda: np.random.default_rng(0).exponential(size=5000) ** 4, range(3), {26, 33, 43}),
-    ("mixed-gap", mixed_gap_column, [0], {141}),
+    ("exponential-5000", range(3), {26, 33, 43}, GROUPS),
+    ("mixed-gap", [0], {141}, GROUPS),
+    ("1025-rows", range(2), {32}, GROUPS),
+    # 45 components dropping to 19 and 26
+    ("2049-rows", range(2), {19, 26}, GROUPS),
+    ("rounded-ties-8000", [0], {42}, 458),
 ]
 
 
-@pytest.mark.parametrize("name, column, seeds, components", GROUPED_FITS,
-                         ids=[fit[0] for fit in GROUPED_FITS])
-def test_grouped_sums_match_an_m_step_over_the_rows(monkeypatch, name, column, seeds, components):
-    xs = column()
+@pytest.mark.parametrize("name, seeds, components, groups", GROUPED_FITS, ids=[fit[0] for fit in GROUPED_FITS])
+def test_grouped_sums_match_an_m_step_over_the_rows(monkeypatch, name, seeds, components, groups):
+    xs = GROUPED_COLUMNS[name]()
     m_step = intervals._m_step
     steps = []
 
@@ -268,11 +416,11 @@ def test_grouped_sums_match_an_m_step_over_the_rows(monkeypatch, name, column, s
         steps.clear()
         state, gamma = fit_with_final_responsibilities(xs, EMConfig(seed=seed))
         assert len(steps) == state.iterations
-        groups = steps[-1]
-        assert groups.counts.size == GROUPS
+        grouping = steps[-1]
+        assert grouping.counts.size == groups
         # each row, sorted by value, takes the E-step at its group's mean,
         # and the log-likelihood counts every row there
-        row_means = np.repeat(groups.means, groups.counts.astype(np.intp))
+        row_means = np.repeat(grouping.means, grouping.counts.astype(np.intp))
         expected, expected_ll, _ = reference_responsibilities(
             row_means, state.locations, state.bandwidths, state.weights,
         )
@@ -322,6 +470,83 @@ def test_groups_are_runs_of_the_sorted_column(xs):
     # of_rows gives each row its group's entry
     group = groups.of_rows(xs, np.arange(counts.size))
     assert np.all(x[starts][group] <= xs) and np.all(xs <= x[ends - 1][group])
+
+
+# (id, column, counts): groupings whose row counts follow from the cuts
+GROUP_EDGES = [
+    # only the last group holds two rows
+    ("1025-rows", lambda: np.arange(GROUPS + 1.0), [1] * (GROUPS - 1) + [2]),
+    ("2048-rows", lambda: np.arange(2.0 * GROUPS), [2] * GROUPS),
+    ("2049-rows", lambda: np.arange(2.0 * GROUPS + 1), [2] * (GROUPS - 1) + [3]),
+    # the rows' order does not matter
+    ("descending-2048", lambda: np.arange(2.0 * GROUPS)[::-1], [2] * GROUPS),
+    ("three-values", lambda: np.repeat([2.0, -1.0, 0.5], [1000, 1500, 500]), [1500, 500, 1000]),
+    # the last cut is row 1,998's, a zero, so the largest value shares
+    # the zeros' group
+    ("one-outlier", lambda: np.append(np.zeros(1999), 7.0), [2000]),
+    # -0.0 == 0.0: the first 512 cuts fall on zeros of either sign and
+    # move back to the first, leaving one group of 1,024 zeros
+    ("signed-zeros", lambda: np.concatenate([np.full(512, -0.0), np.arange(1.0, GROUPS + 1), np.zeros(512)]),
+     [GROUPS] + [2] * (GROUPS // 2)),
+]
+
+
+@pytest.mark.parametrize("name, column, counts", GROUP_EDGES, ids=[edge[0] for edge in GROUP_EDGES])
+def test_groups_of_columns_with_known_cuts(name, column, counts):
+    xs = column()
+    groups = _group(xs)
+    assert groups.counts.tolist() == counts
+    x = np.sort(xs)
+    starts = np.cumsum([0] + counts[:-1])
+    assert groups.lows.tobytes() == x[starts].tobytes()
+    # sums of small integers are exact, so the means are too
+    for g, (start, count) in enumerate(zip(starts, counts)):
+        run = x[start:start + count]
+        assert groups.means[g] == run.mean()
+        assert groups.within[g] == pytest.approx(np.sum((run - run.mean()) ** 2), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", ["1025-rows", "2049-rows", "rounded-ties-8000", "seven-values-3000"])
+def test_grouped_fit_invariants_hold_after_every_iteration(name, seed):
+    # every row of a group, so every row of a value, takes the group's
+    # responsibilities and assignment
+    xs = GROUPED_COLUMNS[name]()
+    order = np.argsort(xs, kind="stable")
+    groups = _group(xs)
+    group = groups.of_rows(xs, np.arange(groups.counts.size))[order]
+    same = group[1:] == group[:-1]
+    assert np.all(same[xs[order][1:] == xs[order][:-1]])
+    counts = []
+
+    def hook(iteration, weights, gamma):
+        counts.append(weights.size)
+        assert weights.sum() == pytest.approx(1.0, abs=1e-9)
+        assert np.all(weights >= 0)
+        np.testing.assert_allclose(gamma.sum(axis=1), 1.0, atol=1e-9)
+        rows = gamma[order]
+        assert np.array_equal(rows[1:][same], rows[:-1][same])
+
+    state = em_fit(xs, EMConfig(seed=seed), iteration_hook=hook)
+    assert len(counts) == state.iterations
+    assert all(a >= b for a, b in zip(counts, counts[1:]))
+    assignments = state.assignments[order]
+    assert np.array_equal(assignments[1:][same], assignments[:-1][same])
+
+
+@pytest.mark.parametrize("name", GROUPED_IDS)
+def test_a_grouped_fit_does_not_depend_on_the_row_order(name):
+    # the groups are runs of the sorted column, so a shuffled column fits
+    # the same mixture bit for bit, with its rows' assignments shuffled
+    xs = GROUPED_COLUMNS[name]()
+    shuffle = np.random.default_rng(9).permutation(xs.size)
+    got, expected = em_fit(xs[shuffle], EMConfig(seed=1)), em_fit(xs, EMConfig(seed=1))
+    for field_name in ("locations", "bandwidths", "weights"):
+        assert getattr(got, field_name).tobytes() == getattr(expected, field_name).tobytes(), field_name
+    assert (got.log_likelihood, got.iterations, got.stop_reason) == (
+        expected.log_likelihood, expected.iterations, expected.stop_reason,
+    )
+    assert got.assignments.tobytes() == expected.assignments[shuffle].tobytes()
 
 
 @pytest.mark.parametrize("xs, components", [
@@ -421,6 +646,19 @@ def test_a_normal_tail_value_does_not_get_the_whole_column():
     assert np.count_nonzero((xs >= lo) & (xs <= hi)) < xs.size / 2
 
 
+def assert_the_interval_is_the_run(xs, value, state):
+    lo, hi = natural_interval(xs, value, state)
+    assert lo <= value <= hi
+    assert lo in xs and hi in xs
+    component = state.assignments[np.flatnonzero(xs == value)[0]]
+    assert np.all(state.assignments[(xs >= lo) & (xs <= hi)] == component)
+    below, above = xs[xs < lo], xs[xs > hi]
+    if below.size:
+        assert np.all(state.assignments[xs == below.max()] != component)
+    if above.size:
+        assert np.all(state.assignments[xs == above.min()] != component)
+
+
 def test_the_interval_is_the_run_of_the_value_s_component():
     rng = np.random.default_rng(41)
     for trial in range(80):
@@ -439,16 +677,16 @@ def test_the_interval_is_the_run_of_the_value_s_component():
         assert state.stop_reason in ("tol", "max_iter")
         assert state.components >= 1
         for value in xs[rng.integers(xs.size, size=4)]:
-            lo, hi = natural_interval(xs, float(value), state)
-            assert lo <= value <= hi
-            assert lo in xs and hi in xs
-            component = state.assignments[np.flatnonzero(xs == value)[0]]
-            assert np.all(state.assignments[(xs >= lo) & (xs <= hi)] == component)
-            below, above = xs[xs < lo], xs[xs > hi]
-            if below.size:
-                assert np.all(state.assignments[xs == below.max()] != component)
-            if above.size:
-                assert np.all(state.assignments[xs == above.min()] != component)
+            assert_the_interval_is_the_run(xs, float(value), state)
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", GROUPED_IDS)
+def test_the_interval_on_a_grouped_column_is_the_run_of_the_value_s_component(name, seed):
+    xs = GROUPED_COLUMNS[name]()
+    state = em_fit(xs, EMConfig(seed=seed))
+    rng = np.random.default_rng(seed)
+    for value in np.concatenate([[xs.min(), xs.max()], xs[rng.integers(xs.size, size=6)]]):
+        assert_the_interval_is_the_run(xs, float(value), state)
 
 
 def test_equal_values_share_an_interval():
