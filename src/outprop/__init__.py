@@ -11,8 +11,6 @@ numpy starts it.
 """
 
 import importlib
-import sys
-import types
 
 __version__ = "0.1.0"
 
@@ -29,7 +27,7 @@ _HOMES = {
     "MiningResult": "miner",
     "MixtureState": "intervals",
     "NUMERIC": "dataset",
-    "OutliernessScore": "outlierness",
+    "OutliernessScore": "scoring",
     "PairEvaluation": "miner",
     "SelectionView": "dataset",
     "StepCDF": "density",
@@ -41,8 +39,8 @@ _HOMES = {
     "mine": "miner",
     "natural_conditions": "miner",
     "natural_interval": "intervals",
-    "omega": "outlierness",
-    "outlierness": "outlierness",
+    "omega": "scoring",
+    "outlierness": "scoring",
     "parse_csv": "dataset",
     "read_schema_file": "dataset",
     "select": "dataset",
@@ -62,21 +60,3 @@ def __getattr__(name):
 def __dir__():
     return sorted(set(globals()) | set(__all__))
 
-
-class _Package(types.ModuleType):
-    """The package's module type: ``outlierness`` names the function.
-
-    Loading the submodule of the same name binds it onto the package; the
-    setter drops that binding, whichever module a process imports first.
-    """
-
-    @property
-    def outlierness(self):
-        return __getattr__("outlierness")
-
-    @outlierness.setter
-    def outlierness(self, value):
-        pass
-
-
-sys.modules[__name__].__class__ = _Package

@@ -7,19 +7,18 @@ responsibility falls below ``ANNIHILATION``, the N/2 of Figueiredo & Jain
 masses sum to n over at most sqrt(n) components, so the largest is at
 least sqrt(n) > 1 and some component always survives. The fit stops
 when the relative log-likelihood gain falls under ``TOL`` or after
-``MAX_ITER`` iterations. Each row is then assigned to its
-highest-responsibility component, and the natural interval of a value is
-the contiguous run of sorted values around it whose rows share its
-component. Categorical columns skip all of this: their natural condition
-(``miner.natural_conditions``) is equality with the value.
+``MAX_ITER`` iterations. Categorical columns skip all of this: their
+natural condition (``miner.natural_conditions``) is equality with the
+value.
 
-The fit runs on at most ``GROUPS`` groups of rows, not on the rows
+The fit's unit, from the grouping to the interval, is a group of rows
 (EM for grouped data; McLachlan & Jones, Biometrics 44, 1988). A column
 of at most ``GROUPS`` rows is its own grouping: each row is a group of
 one, in row order. A longer column is sorted once and cut into runs of
 about n / ``GROUPS`` consecutive values, and equal values never fall in
-two groups. Each group carries its row count c, its mean mu and its
-within-group sum of squared deviations W.
+two groups. Each group carries its row count c, its mean mu, its
+within-group sum of squared deviations W and its smallest and largest
+value.
 
 Every row of a group takes the group's responsibilities, the E-step at
 the group's mean: the log joint log w - log b - (mu - m)^2 / (2 b^2) -
@@ -38,15 +37,22 @@ With c = 1 and W = 0 every product and sum is the one a fit over the
 rows computes, so a fit of at most ``GROUPS`` rows is bit for bit that
 fit. The fit holds one G x k matrix of responsibilities and one scratch
 matrix of the same size, and an iteration costs O(G k) whatever n is;
-the grouping costs one sort and a few n-vectors. A fit with an
-``iteration_hook`` also copies every E-step into an n x k matrix of the
-rows' responsibilities for the hook.
+the grouping costs one sort and a few n-vectors.
+
+Each group is assigned its highest-responsibility component. The
+natural interval of a value runs over the groups around the value's
+group that share its component: the nearest group of another component
+on each side sets a cut, and the interval spans the smallest to the
+largest value of the groups between the cuts. Nothing maps the rows back
+to their groups. The fitted state holds G assignments and G pairs of
+bounds, and the interval reads the rows once, to check that the value is
+among them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -92,17 +98,24 @@ class EMConfig:
 
 @dataclass(frozen=True, eq=False)
 class MixtureState:
-    """Fitted mixture: active components plus each row's component.
+    """Fitted mixture: active components plus each group's component.
 
-    ``assignments[i]`` is the index of row i's highest-responsibility
-    component under the final E-step. ``stop_reason`` says why the
-    iterations ended: "tol" (converged) or "max_iter" (hit the cap).
+    The groups are those the fit ran on: the rows in row order for a
+    sample of at most ``GROUPS`` values, runs of the sorted sample
+    otherwise. ``lows[g]`` and ``highs[g]`` are group g's smallest and
+    largest value, and ``assignments[g]`` is the index of its
+    highest-responsibility component under the final E-step. ``rows``
+    is the sample size. ``stop_reason`` says why the iterations ended:
+    "tol" (converged) or "max_iter" (hit the cap).
     """
 
     locations: np.ndarray = field(repr=False)
     bandwidths: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
     assignments: np.ndarray = field(repr=False)
+    lows: np.ndarray = field(repr=False)
+    highs: np.ndarray = field(repr=False)
+    rows: int
     iterations: int
     log_likelihood: float
     stop_reason: str
@@ -118,23 +131,17 @@ class MixtureState:
 
 
 class _Groups(NamedTuple):
-    """The groups of rows a fit runs on, in ascending order of value.
+    """The groups of rows a fit runs on.
 
-    Each group's row count, mean and within-group sum of squared
-    deviations, and ``lows``, each group's smallest value; ``lows`` is None
-    where row i is group i.
+    Each group's row count, mean, within-group sum of squared deviations,
+    and smallest and largest value (``lows``, ``highs``).
     """
 
     counts: np.ndarray
     means: np.ndarray
     within: np.ndarray
-    lows: np.ndarray | None
-
-    def of_rows(self, x: np.ndarray, per_group: np.ndarray) -> np.ndarray:
-        """A new array of per_group's entry for each row of x, the column grouped."""
-        if self.lows is None:
-            return per_group.copy()
-        return per_group[np.searchsorted(self.lows, x, side="right") - 1]
+    lows: np.ndarray
+    highs: np.ndarray
 
 
 def _group(x: np.ndarray) -> _Groups:
@@ -146,16 +153,17 @@ def _group(x: np.ndarray) -> _Groups:
     """
     n = x.size
     if n <= GROUPS:
-        return _Groups(np.ones(n), x, np.zeros(n), None)
+        return _Groups(np.ones(n), x, np.zeros(n), x, x)
     s = np.sort(x)
     starts = np.searchsorted(s, s[np.arange(GROUPS) * n // GROUPS], side="left")
     starts = starts[np.diff(starts, prepend=-1) > 0]
-    counts = np.diff(starts, append=n).astype(np.float64)
+    ends = np.append(starts[1:], n)
+    counts = (ends - starts).astype(np.float64)
     means = np.add.reduceat(s, starts) / counts
-    deviations = np.repeat(means, counts.astype(np.intp))
+    deviations = np.repeat(means, ends - starts)
     np.subtract(s, deviations, out=deviations)
     within = np.add.reduceat(np.square(deviations, out=deviations), starts)
-    return _Groups(counts, means, within, s[starts])
+    return _Groups(counts, means, within, s[starts], s[ends - 1])
 
 
 def _squared_deviations(x_rows, locations, out):
@@ -187,78 +195,18 @@ def _e_step(groups: _Groups, locations, bandwidths, weights, gamma) -> float:
     return float(np.sum(groups.counts * np.log(norm)) + np.sum(groups.counts * peak))
 
 
-def _m_step(groups: _Groups, gamma, mass, scratch) -> tuple[np.ndarray, np.ndarray]:
+def _m_step(groups: _Groups, gamma, weighted, mass) -> tuple[np.ndarray, np.ndarray]:
     """Each component's location and variance over the rows, from sums over the groups.
 
-    mass holds each component's sum of c * gamma. The location sums are
-    those of c * mu * gamma, the variance sums those of
-    gamma * (c * (mu - m)^2 + W). scratch is a matrix of gamma's shape.
+    weighted holds c * gamma and mass its column sums. The location sums
+    are those of c * mu * gamma, the variance sums those of
+    gamma * (c * (mu - m)^2 + W), whose terms overwrite weighted.
     """
-    counts = groups.counts[:, None]
-    locations = np.einsum("i,ij->j", groups.means, np.multiply(gamma, counts, out=scratch)) / mass
-    spread = _squared_deviations(groups.means, locations, scratch)
-    spread *= counts
+    locations = np.einsum("i,ij->j", groups.means, weighted) / mass
+    spread = _squared_deviations(groups.means, locations, weighted)
+    spread *= groups.counts[:, None]
     spread += groups.within[:, None]
     return locations, np.einsum("ij,ij->j", gamma, spread) / mass
-
-
-def _fit(groups: _Groups, k: int, seed, var_floor: float, hook: Callable | None) -> MixtureState:
-    """The fit on the groups; its ``assignments`` are each group's component.
-
-    The responsibilities and the scratch matrix are G x k views of two
-    buffers, which trade places when a drop compresses the kept columns.
-    hook(it, weights, gamma) runs after every iteration.
-    """
-    g = groups.counts.size
-    buffers = [np.empty(g * k), np.empty(g * k)]
-
-    def matrix(buffer, columns):
-        return buffer[: g * columns].reshape(g, columns)
-
-    gamma = matrix(buffers[0], k)
-    np.random.default_rng(seed).random(out=gamma)
-    gamma /= gamma.sum(axis=1)[:, None]
-    prev_ll = None
-    stop_reason = "max_iter"
-    for it in range(1, MAX_ITER + 1):
-        mass = np.multiply(gamma, groups.counts[:, None], out=matrix(buffers[1], gamma.shape[1])).sum(axis=0)
-        surplus = np.maximum(mass - ANNIHILATION, 0.0)
-        if not math.isfinite(surplus.sum()):
-            raise DegenerateSampleError(_OUT_OF_RANGE)
-
-        keep = surplus > 0.0
-        dropped = not bool(keep.all())
-        if dropped:
-            surplus, mass = surplus[keep], mass[keep]
-            # mode="raise", np.compress's, would copy through a scratch matrix
-            kept = matrix(buffers[1], mass.size)
-            gamma = np.take(gamma, np.flatnonzero(keep), axis=1, out=kept, mode="clip")
-            buffers.reverse()
-        weights = surplus / surplus.sum()
-
-        locations, variances = _m_step(groups, gamma, mass, matrix(buffers[1], mass.size))
-        bandwidths = np.sqrt(np.maximum(variances, var_floor))
-        finite = np.isfinite(locations).all() and np.isfinite(bandwidths).all()
-        if not (finite and bandwidths.min() > 0.0):
-            raise DegenerateSampleError(_OUT_OF_RANGE)
-
-        ll = _e_step(groups, locations, bandwidths, weights, gamma)
-        if hook is not None:
-            hook(it, weights, gamma)
-
-        if prev_ll is not None and not dropped:
-            rel = (ll - prev_ll) / max(abs(prev_ll), 1e-300)
-            # a dip is not convergence: the pruning weight rule is not a
-            # proper M-step, so the likelihood may fall; keep iterating
-            if 0.0 <= rel < TOL:
-                stop_reason = "tol"
-                break
-        prev_ll = ll
-    return MixtureState(
-        locations=locations, bandwidths=bandwidths, weights=weights,
-        assignments=np.argmax(gamma, axis=1), iterations=it,
-        log_likelihood=ll, stop_reason=stop_reason,
-    )
 
 
 def em_fit(xs: np.ndarray, cfg: EMConfig, iteration_hook: IterationHook | None = None) -> MixtureState:
@@ -271,9 +219,9 @@ def em_fit(xs: np.ndarray, cfg: EMConfig, iteration_hook: IterationHook | None =
     cfg : EMConfig
     iteration_hook : callable, optional
         Called as hook(iteration, weights, responsibilities) after every
-        iteration, with copies; row i's responsibilities are its group's.
-        Intended for tests and diagnostics: a hooked fit builds an n x k
-        matrix of responsibilities for it.
+        iteration, with copies. The responsibilities are the G x k
+        matrix of the groups', which for a sample of at most ``GROUPS``
+        values are the rows'. Intended for tests and diagnostics.
 
     Returns
     -------
@@ -310,32 +258,81 @@ def em_fit(xs: np.ndarray, cfg: EMConfig, iteration_hook: IterationHook | None =
     var_floor = _VAR_FLOOR * span * span
 
     groups = _group(x)
-    hook = None
-    if iteration_hook is not None:
-        def hook(it, weights, gamma):
-            iteration_hook(it, weights.copy(), groups.of_rows(x, gamma))
+    counts = groups.counts[:, None]
+    g, k = groups.counts.size, math.isqrt(n)
+    # the responsibilities and the scratch matrix are G x k views of two
+    # buffers, which trade places when a drop compresses the kept columns
+    buffers = [np.empty(g * k), np.empty(g * k)]
 
-    state = _fit(groups, math.isqrt(n), cfg.seed, var_floor, hook)
-    return replace(state, assignments=groups.of_rows(x, state.assignments))
+    def matrix(buffer, columns):
+        return buffer[: g * columns].reshape(g, columns)
+
+    gamma = matrix(buffers[0], k)
+    np.random.default_rng(cfg.seed).random(out=gamma)
+    gamma /= gamma.sum(axis=1)[:, None]
+    prev_ll = None
+    stop_reason = "max_iter"
+    for it in range(1, MAX_ITER + 1):
+        weighted = np.multiply(gamma, counts, out=matrix(buffers[1], gamma.shape[1]))
+        mass = weighted.sum(axis=0)
+        surplus = np.maximum(mass - ANNIHILATION, 0.0)
+        if not math.isfinite(surplus.sum()):
+            raise DegenerateSampleError(_OUT_OF_RANGE)
+
+        keep = surplus > 0.0
+        dropped = not bool(keep.all())
+        if dropped:
+            surplus, mass = surplus[keep], mass[keep]
+            # mode="raise", np.compress's, would copy through a scratch matrix
+            kept = matrix(buffers[1], mass.size)
+            gamma = np.take(gamma, np.flatnonzero(keep), axis=1, out=kept, mode="clip")
+            buffers.reverse()
+            weighted = np.multiply(gamma, counts, out=matrix(buffers[1], mass.size))
+        weights = surplus / surplus.sum()
+
+        locations, variances = _m_step(groups, gamma, weighted, mass)
+        bandwidths = np.sqrt(np.maximum(variances, var_floor))
+        finite = np.isfinite(locations).all() and np.isfinite(bandwidths).all()
+        if not (finite and bandwidths.min() > 0.0):
+            raise DegenerateSampleError(_OUT_OF_RANGE)
+
+        ll = _e_step(groups, locations, bandwidths, weights, gamma)
+        if iteration_hook is not None:
+            iteration_hook(it, weights.copy(), gamma.copy())
+
+        if prev_ll is not None and not dropped:
+            rel = (ll - prev_ll) / max(abs(prev_ll), 1e-300)
+            # a dip is not convergence: the pruning weight rule is not a
+            # proper M-step, so the likelihood may fall; keep iterating
+            if 0.0 <= rel < TOL:
+                stop_reason = "tol"
+                break
+        prev_ll = ll
+    return MixtureState(
+        locations=locations, bandwidths=bandwidths, weights=weights,
+        assignments=np.argmax(gamma, axis=1), lows=groups.lows, highs=groups.highs,
+        rows=n, iterations=it, log_likelihood=ll, stop_reason=stop_reason,
+    )
 
 
 def natural_interval(xs: np.ndarray, o_value: float, state: MixtureState) -> tuple[float, float]:
-    """[min, max] of the run of sorted sample values around o_value in its component.
+    """[min, max] of the run of groups around o_value's group in its component.
 
-    The run ends, on each side, just before the nearest value of a row of
-    another component. Equal values share a component, so every row inside
-    the interval has o_value's component. xs must be the sample the state
-    was fitted on, in the same order.
+    The run ends, on each side, just before the nearest group of another
+    component, and spans the smallest to the largest value of the groups
+    inside it. Equal values share a group, so every row inside the
+    interval has o_value's component. xs must be the sample the state was
+    fitted on; it is read only to check its size and that it holds o_value.
     """
     x = np.asarray(xs, dtype=np.float64)
-    if x.size != state.assignments.size:
+    if x.size != state.rows:
         raise PreconditionError("sample does not match the fitted state")
     value = float(o_value)
-    matches = np.flatnonzero(x == value)
-    if matches.size == 0:
+    if not np.any(x == value):
         raise PreconditionError(f"value {o_value!r} is not in the sample")
-    other = state.assignments != state.assignments[matches[0]]
-    lo_cut = np.max(x, where=other & (x < value), initial=-np.inf)
-    hi_cut = np.min(x, where=other & (x > value), initial=np.inf)
-    inside = (x > lo_cut) & (x < hi_cut)
-    return float(np.min(x, where=inside, initial=np.inf)), float(np.max(x, where=inside, initial=-np.inf))
+    lows, highs = state.lows, state.highs
+    other = state.assignments != state.assignments[np.argmax((lows <= value) & (value <= highs))]
+    lo_cut = np.max(highs, where=other & (highs < value), initial=-np.inf)
+    hi_cut = np.min(lows, where=other & (lows > value), initial=np.inf)
+    inside = (lows > lo_cut) & (highs < hi_cut)
+    return float(np.min(lows, where=inside, initial=np.inf)), float(np.max(highs, where=inside, initial=-np.inf))

@@ -40,7 +40,7 @@ from .dataset import (
 )
 from .errors import ConfigError, DegenerateSampleError
 from .intervals import EMConfig, em_fit, natural_interval
-from .outlierness import OutliernessScore, _pack_rows, _score_masks, omega, outlierness
+from .scoring import OutliernessScore, _pack_rows, _score_masks, omega, outlierness
 
 
 @dataclass(frozen=True)

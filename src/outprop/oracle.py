@@ -23,7 +23,7 @@ from .dataset import CATEGORICAL, Dataset, Explanation
 from .density import StepCDF
 from .errors import OracleTooLargeError, PreconditionError
 from .miner import MiningConfig, natural_conditions
-from .outlierness import omega
+from .scoring import omega
 
 _X_GRID_POINTS = 240_001
 _X_GRID_HALF_WIDTH = 12.0  # in units of sigma

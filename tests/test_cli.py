@@ -159,11 +159,11 @@ def test_every_export_is_its_defining_modules_object():
     assert probe_output(probe) == str(len(outprop.__all__))
 
 
-@pytest.mark.parametrize("first", ["", "import outprop.cli", "import outprop.miner", "import outprop.outlierness"])
+@pytest.mark.parametrize("first", ["", "import outprop.cli", "import outprop.miner", "import outprop.scoring"])
 def test_package_outlierness_is_the_function(first):
     probe = (
         f"import sys, outprop; {first or 'pass'}\n"
-        "print(outprop.outlierness is sys.modules['outprop.outlierness'].outlierness)"
+        "print(outprop.outlierness is sys.modules['outprop.scoring'].outlierness)"
     )
     assert probe_output(probe) == "True"
 

@@ -30,9 +30,9 @@ def test_degenerate_samples_raise():
 
 
 def fit_with_final_responsibilities(xs, cfg):
-    """The fit and the responsibilities its last iteration handed the hook.
+    """The fit and the group responsibilities its last iteration handed the hook.
 
-    Asserts that the state's assignments are their row argmax, bit for bit.
+    Asserts that the state's assignments are their argmax, bit for bit.
     """
     final = []
 
@@ -151,9 +151,31 @@ def random_start(g, k, seed):
     return gamma
 
 
+def weigh(groups, gamma):
+    # c * gamma, as the fit computes it
+    return np.multiply(gamma, groups.counts[:, None])
+
+
 def group_mass(groups, gamma):
-    # each component's sum of c * gamma, as the fit computes it
-    return np.multiply(gamma, groups.counts[:, None]).sum(axis=0)
+    # each component's sum of c * gamma
+    return weigh(groups, gamma).sum(axis=0)
+
+
+def group_of_rows(lows, xs):
+    """Each row's group, from the groups' smallest values.
+
+    A column of at most GROUPS rows is its own grouping in row order; a
+    longer one's groups are sorted runs, so a row's group is the last
+    whose smallest value is at most the row's.
+    """
+    if xs.size <= GROUPS:
+        return np.arange(xs.size)
+    return np.searchsorted(lows, xs, side="right") - 1
+
+
+def row_components(xs, state):
+    """Each row's component: its group's assignment."""
+    return state.assignments[group_of_rows(state.lows, xs)]
 
 
 # (id, column, groups): the start is G x floor(sqrt(n))
@@ -180,9 +202,10 @@ def test_random_start_is_the_whole_matrix_draw_normalized(monkeypatch, name, col
     seen = []
     m_step = intervals._m_step
 
-    def first_m_step(groups, gamma, mass, scratch):
+    def first_m_step(groups, gamma, weighted, mass):
         seen.append((groups, gamma.copy(), mass.copy()))
-        return m_step(groups, gamma, mass, scratch)
+        assert weighted.tobytes() == weigh(groups, gamma).tobytes()
+        return m_step(groups, gamma, weighted, mass)
 
     monkeypatch.setattr(intervals, "_m_step", first_m_step)
     monkeypatch.setattr(intervals, "MAX_ITER", 1)
@@ -208,7 +231,7 @@ def test_m_step_on_groups_of_one_is_bit_equal_to_whole_matrix_sums(n, k):
     for gamma in (random_start(n, k, seed=n), whole_matrix_e_step(x, locations, bandwidths, weights)[0]):
         mass = group_mass(groups, gamma)
         assert mass.tobytes() == gamma.sum(axis=0).tobytes()
-        got_locations, got_variances = intervals._m_step(groups, gamma, mass, np.empty_like(gamma))
+        got_locations, got_variances = intervals._m_step(groups, gamma, weigh(groups, gamma), mass)
         expected = np.einsum("i,ij->j", x, gamma) / mass
         assert got_locations.tobytes() == expected.tobytes()
         expected = np.einsum("ij,ij->j", gamma, np.square(x[:, None] - expected)) / mass
@@ -274,7 +297,7 @@ def test_grouped_m_step_matches_the_m_step_over_the_rows(name, k):
     locations, bandwidths, weights = grouped_mixture(xs, k, seed=k)
     for gamma in (random_start(g, k, seed=k), whole_matrix_e_step(groups.means, locations, bandwidths, weights)[0]):
         mass = group_mass(groups, gamma)
-        got_locations, got_variances = intervals._m_step(groups, gamma, mass, np.empty_like(gamma))
+        got_locations, got_variances = intervals._m_step(groups, gamma, weigh(groups, gamma), mass)
         want_mass, want_locations, want_variances, scale = row_m_step(xs, groups.counts, gamma)
         assert np.all(want_mass > 0.0)
         np.testing.assert_allclose(mass, want_mass, rtol=1e-12, atol=0.0)
@@ -335,8 +358,8 @@ def two_buffer_em_fit(xs, cfg):
         prev_ll = ll
     return MixtureState(
         locations=locations, bandwidths=bandwidths, weights=weights,
-        assignments=np.argmax(gamma, axis=1), iterations=it,
-        log_likelihood=ll, stop_reason=stop_reason,
+        assignments=np.argmax(gamma, axis=1), lows=x, highs=x, rows=n,
+        iterations=it, log_likelihood=ll, stop_reason=stop_reason,
     )
 
 
@@ -374,10 +397,10 @@ def test_fit_is_bit_equal_to_the_two_buffer_fit(name, column, seeds, components)
     seen = set()
     for seed in seeds:
         got, expected = em_fit(xs, EMConfig(seed=seed)), two_buffer_em_fit(xs, EMConfig(seed=seed))
-        for field_name in ("assignments", "locations", "bandwidths", "weights"):
+        for field_name in ("assignments", "lows", "highs", "locations", "bandwidths", "weights"):
             assert getattr(got, field_name).tobytes() == getattr(expected, field_name).tobytes(), (seed, field_name)
-        assert (got.log_likelihood, got.iterations, got.stop_reason) == (
-            expected.log_likelihood, expected.iterations, expected.stop_reason,
+        assert (got.rows, got.log_likelihood, got.iterations, got.stop_reason) == (
+            expected.rows, expected.log_likelihood, expected.iterations, expected.stop_reason,
         ), seed
         seen.add(got.components)
     assert seen == components
@@ -401,8 +424,11 @@ def test_grouped_sums_match_an_m_step_over_the_rows(monkeypatch, name, seeds, co
     m_step = intervals._m_step
     steps = []
 
-    def checked_m_step(groups, gamma, mass, scratch):
-        locations, variances = m_step(groups, gamma, mass, scratch)
+    def checked_m_step(groups, gamma, weighted, mass):
+        # the fit hands over c * gamma of the kept columns, whether or not
+        # a column was dropped
+        assert weighted.tobytes() == weigh(groups, gamma).tobytes()
+        locations, variances = m_step(groups, gamma, weighted, mass)
         want_mass, want_locations, want_variances, scale = row_m_step(xs, groups.counts, gamma)
         np.testing.assert_allclose(mass, want_mass, rtol=1e-12, atol=0.0)
         assert np.all(np.abs(locations - want_locations) <= 1e-12 * scale)
@@ -424,7 +450,8 @@ def test_grouped_sums_match_an_m_step_over_the_rows(monkeypatch, name, seeds, co
         expected, expected_ll, _ = reference_responsibilities(
             row_means, state.locations, state.bandwidths, state.weights,
         )
-        np.testing.assert_allclose(gamma[np.argsort(xs, kind="stable")], expected, rtol=0.0, atol=1e-12)
+        rows = gamma[group_of_rows(grouping.lows, xs)]
+        np.testing.assert_allclose(rows[np.argsort(xs, kind="stable")], expected, rtol=0.0, atol=1e-12)
         assert state.log_likelihood == pytest.approx(expected_ll, rel=1e-12, abs=0.0)
         seen.add(state.components)
     assert seen == components
@@ -451,13 +478,14 @@ def test_groups_are_runs_of_the_sorted_column(xs):
     assert np.all(counts >= 1) and counts.sum() == n
     assert np.all(within >= 0.0)
     if n <= GROUPS:
-        assert groups.lows is None
-        assert means is xs and np.all(counts == 1) and np.all(within == 0.0)
+        assert means is xs and groups.lows is xs and groups.highs is xs
+        assert np.all(counts == 1) and np.all(within == 0.0)
         return
     x = np.sort(xs)
     ends = np.cumsum(counts.astype(np.intp))
     starts = ends - counts.astype(np.intp)
     assert groups.lows.tobytes() == x[starts].tobytes()
+    assert groups.highs.tobytes() == x[ends - 1].tobytes()
     # equal values share a group: each group starts above the last one's end
     assert np.all(x[starts[1:] - 1] < x[starts[1:]])
     if np.unique(xs).size == n:
@@ -467,9 +495,6 @@ def test_groups_are_runs_of_the_sorted_column(xs):
         run = x[starts[g]:ends[g]]
         assert means[g] == pytest.approx(run.mean(), rel=1e-12, abs=1e-300)
         assert within[g] == pytest.approx(np.sum((run - run.mean()) ** 2), rel=1e-9, abs=1e-12 * run.size)
-    # of_rows gives each row its group's entry
-    group = groups.of_rows(xs, np.arange(counts.size))
-    assert np.all(x[starts][group] <= xs) and np.all(xs <= x[ends - 1][group])
 
 
 # (id, column, counts): groupings whose row counts follow from the cuts
@@ -499,6 +524,7 @@ def test_groups_of_columns_with_known_cuts(name, column, counts):
     x = np.sort(xs)
     starts = np.cumsum([0] + counts[:-1])
     assert groups.lows.tobytes() == x[starts].tobytes()
+    assert groups.highs.tobytes() == x[np.cumsum(counts) - 1].tobytes()
     # sums of small integers are exact, so the means are too
     for g, (start, count) in enumerate(zip(starts, counts)):
         run = x[start:start + count]
@@ -514,7 +540,9 @@ def test_grouped_fit_invariants_hold_after_every_iteration(name, seed):
     xs = GROUPED_COLUMNS[name]()
     order = np.argsort(xs, kind="stable")
     groups = _group(xs)
-    group = groups.of_rows(xs, np.arange(groups.counts.size))[order]
+    group = group_of_rows(groups.lows, xs)
+    assert np.all((groups.lows[group] <= xs) & (xs <= groups.highs[group]))
+    group = group[order]
     same = group[1:] == group[:-1]
     assert np.all(same[xs[order][1:] == xs[order][:-1]])
     counts = []
@@ -524,29 +552,31 @@ def test_grouped_fit_invariants_hold_after_every_iteration(name, seed):
         assert weights.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(weights >= 0)
         np.testing.assert_allclose(gamma.sum(axis=1), 1.0, atol=1e-9)
-        rows = gamma[order]
+        assert gamma.shape == (groups.counts.size, weights.size)
+        rows = gamma[group]
         assert np.array_equal(rows[1:][same], rows[:-1][same])
 
     state = em_fit(xs, EMConfig(seed=seed), iteration_hook=hook)
     assert len(counts) == state.iterations
     assert all(a >= b for a, b in zip(counts, counts[1:]))
-    assignments = state.assignments[order]
+    assignments = row_components(xs, state)[order]
     assert np.array_equal(assignments[1:][same], assignments[:-1][same])
 
 
 @pytest.mark.parametrize("name", GROUPED_IDS)
 def test_a_grouped_fit_does_not_depend_on_the_row_order(name):
     # the groups are runs of the sorted column, so a shuffled column fits
-    # the same mixture bit for bit, with its rows' assignments shuffled
+    # the same mixture and groups bit for bit, with its rows' assignments
+    # shuffled
     xs = GROUPED_COLUMNS[name]()
     shuffle = np.random.default_rng(9).permutation(xs.size)
     got, expected = em_fit(xs[shuffle], EMConfig(seed=1)), em_fit(xs, EMConfig(seed=1))
-    for field_name in ("locations", "bandwidths", "weights"):
+    for field_name in ("assignments", "lows", "highs", "locations", "bandwidths", "weights"):
         assert getattr(got, field_name).tobytes() == getattr(expected, field_name).tobytes(), field_name
     assert (got.log_likelihood, got.iterations, got.stop_reason) == (
         expected.log_likelihood, expected.iterations, expected.stop_reason,
     )
-    assert got.assignments.tobytes() == expected.assignments[shuffle].tobytes()
+    assert row_components(xs[shuffle], got).tobytes() == row_components(xs, expected)[shuffle].tobytes()
 
 
 @pytest.mark.parametrize("xs, components", [
@@ -563,7 +593,7 @@ def test_fit_peak_memory_is_two_group_matrices_and_a_few_n_vectors(xs, component
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert state.assignments.shape == (n,)
+    assert state.assignments.shape == (GROUPS,)
     assert state.components == components
     assert peak <= 2 * 8 * GROUPS * math.isqrt(n) + 2 * 8 * n
     # the row-block fit it replaced peaked at 2.64 MB on these columns
@@ -650,13 +680,14 @@ def assert_the_interval_is_the_run(xs, value, state):
     lo, hi = natural_interval(xs, value, state)
     assert lo <= value <= hi
     assert lo in xs and hi in xs
-    component = state.assignments[np.flatnonzero(xs == value)[0]]
-    assert np.all(state.assignments[(xs >= lo) & (xs <= hi)] == component)
+    components = row_components(xs, state)
+    component = components[np.flatnonzero(xs == value)[0]]
+    assert np.all(components[(xs >= lo) & (xs <= hi)] == component)
     below, above = xs[xs < lo], xs[xs > hi]
     if below.size:
-        assert np.all(state.assignments[xs == below.max()] != component)
+        assert np.all(components[xs == below.max()] != component)
     if above.size:
-        assert np.all(state.assignments[xs == above.min()] != component)
+        assert np.all(components[xs == above.min()] != component)
 
 
 def test_the_interval_is_the_run_of_the_value_s_component():
@@ -687,6 +718,80 @@ def test_the_interval_on_a_grouped_column_is_the_run_of_the_value_s_component(na
     rng = np.random.default_rng(seed)
     for value in np.concatenate([[xs.min(), xs.max()], xs[rng.integers(xs.size, size=6)]]):
         assert_the_interval_is_the_run(xs, float(value), state)
+
+
+def row_natural_interval(xs, value, components):
+    """The natural interval worked out on the rows; components[i] is row i's component.
+
+    The run ends, on each side, just before the nearest row of another
+    component, and spans the rows strictly between those two.
+    """
+    other = components != components[np.flatnonzero(xs == value)[0]]
+    lo_cut = np.max(xs, where=other & (xs < value), initial=-np.inf)
+    hi_cut = np.min(xs, where=other & (xs > value), initial=np.inf)
+    inside = (xs > lo_cut) & (xs < hi_cut)
+    return float(np.min(xs, where=inside, initial=np.inf)), float(np.max(xs, where=inside, initial=-np.inf))
+
+
+INTERVAL_COLUMNS = {
+    "two-clusters-100": two_clusters,
+    "rounded-ties-400": lambda: np.round(np.random.default_rng(4).normal(0.0, 1.0, 400), 1),
+    "signed-zeros-300": lambda: np.concatenate([np.full(50, -0.0), np.arange(1.0, 201.0), np.zeros(50)]),
+    "1024-rows": lambda: np.random.default_rng(0).exponential(size=GROUPS) ** 4,
+    **GROUPED_COLUMNS,
+    **{name: column for name, column, _ in GROUP_EDGES if name in ("one-outlier", "signed-zeros")},
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", list(INTERVAL_COLUMNS))
+def test_the_interval_over_the_groups_is_the_interval_over_the_rows(name, seed):
+    # each row takes its group's component; the interval over the rows is
+    # then the one natural_interval finds over the groups
+    xs = INTERVAL_COLUMNS[name]()
+    state = em_fit(xs, EMConfig(seed=seed))
+    components = row_components(xs, state)
+    rng = np.random.default_rng(seed)
+    values = np.concatenate([[xs.min(), xs.max()], xs[rng.integers(xs.size, size=20)]])
+    if np.any(xs == 0.0):
+        values = np.append(values, [0.0, -0.0])
+    for value in values:
+        got, want = natural_interval(xs, float(value), state), row_natural_interval(xs, float(value), components)
+        # -0.0 == 0.0: a zero bound of a grouped column is the first or the
+        # last zero of its sorted run, whose sign may differ from the row
+        # reduction's; a column of at most GROUPS rows gives the same bits
+        assert got == want, value
+        if xs.size <= GROUPS:
+            assert np.array(got).tobytes() == np.array(want).tobytes(), value
+
+
+@pytest.mark.parametrize("name, groups", [("20000-rows", GROUPS), ("rounded-ties-3000", 414)])
+def test_a_fitted_state_holds_only_per_group_arrays(name, groups):
+    xs = {start[0]: start[1] for start in START_COLUMNS}[name]()
+    state = em_fit(xs, EMConfig(seed=0))
+    assert state.rows == xs.size
+    assert state.assignments.size == state.lows.size == state.highs.size == groups
+    for array in (state.locations, state.bandwidths, state.weights):
+        assert array.size == state.components
+    assert state.lows.tobytes() == _group(xs).lows.tobytes()
+    assert state.highs.tobytes() == _group(xs).highs.tobytes()
+
+
+def test_the_interval_of_a_million_row_column_reads_the_rows_once():
+    xs = np.random.default_rng(29).normal(size=1_000_000)
+    state = em_fit(xs, EMConfig(seed=0))
+    assert state.assignments.size == state.lows.size == state.highs.size == GROUPS
+    value = float(xs[12345])
+    tracemalloc.start()
+    try:
+        lo, hi = natural_interval(xs, value, state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert lo <= value <= hi
+    # one n-byte comparison of the rows with the value; the row formula's
+    # masks peaked at 11 MB
+    assert peak <= 1.1e6
 
 
 def test_equal_values_share_an_interval():

@@ -21,7 +21,7 @@ from outprop.dataset import condition_mask
 from outprop.errors import ConfigError
 from outprop.miner import _next_level
 from outprop.oracle import exhaustive_mine
-from outprop.outlierness import _pack_rows
+from outprop.scoring import _pack_rows
 
 from conftest import random_instance
 

@@ -19,7 +19,7 @@ from outprop.oracle import (
     exhaustive_mine,
     naive_density,
 )
-from outprop.outlierness import _closed_form, _window_score
+from outprop.scoring import _closed_form, _window_score
 
 from conftest import random_dataset
 

@@ -1,6 +1,5 @@
 """The outlierness score: squashing map, areas, preconditions, monotonicity."""
 
-import importlib
 import math
 
 import numpy as np
@@ -24,10 +23,8 @@ from outprop.dataset import condition_mask
 from outprop.density import fit_numeric, parzen_densities
 from outprop.errors import EmptySampleError, PreconditionError
 from outprop.oracle import area_above, area_below, max_density
-from outprop.outlierness import _pack_rows, _score_masks, _token_score, _window_score
-
-# the package's ``outlierness`` attribute is the function
-outlierness_module = importlib.import_module("outprop.outlierness")
+from outprop import scoring
+from outprop.scoring import _pack_rows, _score_masks, _token_score, _window_score
 
 
 def full_view(db):
@@ -239,7 +236,7 @@ def test_packed_kernel_checks_the_designated_row_s_own_bit(n, r):
 @pytest.mark.parametrize("extra", [0, 1])
 @pytest.mark.parametrize(("n", "r"), [(65, 64), (129, 0), (129, 128)])
 def test_token_counts_are_equal_on_both_sides_of_the_popcount_cut_off(n, r, extra, monkeypatch):
-    tokens = outlierness_module.TOKEN_POPCOUNT_MAX + extra
+    tokens = scoring.TOKEN_POPCOUNT_MAX + extra
     db, masks = word_edge_table(n, r, CATEGORICAL, tokens=tokens)
     assert int(db.codes[0].max()) + 1 == tokens
     bits = _pack_rows(masks)
@@ -248,7 +245,7 @@ def test_token_counts_are_equal_on_both_sides_of_the_popcount_cut_off(n, r, extr
     assert _score_masks(db, db.schema[0], r, bits) == direct
     # the same level through the other counter
     for cut_off in (tokens - 1, tokens):
-        monkeypatch.setattr(outlierness_module, "TOKEN_POPCOUNT_MAX", cut_off)
+        monkeypatch.setattr(scoring, "TOKEN_POPCOUNT_MAX", cut_off)
         assert _score_masks(db, db.schema[0], r, bits) == direct
 
 
