@@ -22,13 +22,9 @@ _HOMES = {
     "Dataset": "dataset",
     "EMConfig": "intervals",
     "Explanation": "dataset",
-    "ExplanationPropertyPair": "miner",
     "MiningConfig": "miner",
-    "MiningResult": "miner",
     "MixtureState": "intervals",
     "NUMERIC": "dataset",
-    "OutliernessScore": "scoring",
-    "PairEvaluation": "miner",
     "SelectionView": "dataset",
     "StepCDF": "density",
     "density_cdf": "density",

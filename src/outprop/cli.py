@@ -36,14 +36,6 @@ from .miner import MiningConfig, MiningResult, explain_one, mine
 
 REPORT_VERSION = 2
 
-_USAGE_EXIT = 2
-
-
-def _default_seed() -> str:
-    # a string default goes through the option's type check, so a malformed
-    # $OUTPROP_SEED is a usage error like a malformed --seed
-    return os.environ.get("OUTPROP_SEED", "0")
-
 
 def _report_records(db: Dataset, config: dict, result: MiningResult) -> list[dict]:
     """The JSON records of one mine report: meta, conditions, then each pair."""
@@ -250,9 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
             if value < 0:
                 raise ValueError
         except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"seed must be a non-negative integer, got {text!r} (from --seed or $OUTPROP_SEED)"
-            ) from None
+            raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}") from None
         return value
 
     def even_size(text):
@@ -270,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mine = sub.add_parser("mine", parents=[common], help="search for all minimal pairs")
     p_mine.add_argument("--omega", type=bounded_float("omega", 0.0, 1.0), required=True, help="minimum outlierness score")
     p_mine.add_argument("--kmax", type=positive_int, default=3, help="largest explanation size (default 3)")
-    p_mine.add_argument("--seed", type=seed, default=_default_seed(), help="seed for interval discovery (default $OUTPROP_SEED or 0)")
+    p_mine.add_argument("--seed", type=seed, default=0, help="seed for interval discovery (default 0)")
     p_mine.add_argument("--out", help="write the report here instead of stdout")
     p_mine.add_argument("--curves", help="directory for per-pair density cdf TSV files")
     p_mine.add_argument("--tsv", action="store_true", help="tabular report instead of JSON records")
@@ -287,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen-unif2", help="generate the two-cluster benchmark CSV")
     p_gen.add_argument("--out", required=True, help="output CSV path")
     p_gen.add_argument("--size", type=even_size, default=20000, help="row count, even, >= 4 (default 20000)")
-    p_gen.add_argument("--seed", type=seed, default=_default_seed(), help="generator seed (default $OUTPROP_SEED or 0)")
+    p_gen.add_argument("--seed", type=seed, default=0, help="generator seed (default 0)")
     p_gen.add_argument("--aux", type=positive_int, default=1, help="number of uniform noise attributes (default 1)")
     p_gen.set_defaults(func=lambda a: _cmd_gen_unif2(a))
 

@@ -70,7 +70,7 @@ class Condition:
 
     @property
     def is_interval(self) -> bool:
-        return self.value is None
+        return self.lower is not None
 
     def describe(self, schema: tuple[Attribute, ...]) -> str:
         name = schema[self.attribute].name
@@ -188,9 +188,6 @@ class Dataset:
     @property
     def n_attributes(self) -> int:
         return len(self.schema)
-
-    def __len__(self) -> int:
-        return self._n
 
     def attribute(self, name: str) -> Attribute:
         try:

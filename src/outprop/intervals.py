@@ -46,14 +46,14 @@ on each side sets a cut, and the interval spans the smallest to the
 largest value of the groups between the cuts. Nothing maps the rows back
 to their groups. The fitted state holds G assignments and G pairs of
 bounds, and the interval reads the rows once, to check that the value is
-among them.
+among them. A bound that is either zero is written 0.0.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,8 +80,6 @@ GROUPS = 1024
 # fit out of float64's range. Rescaling the column first would keep it in
 # range, but would also change the bits of every fit.
 _OUT_OF_RANGE = "mixture fit left the float64 range; the values are too large or too close together"
-
-IterationHook = Callable[[int, np.ndarray, np.ndarray], None]
 
 
 @dataclass(frozen=True)
@@ -209,7 +207,7 @@ def _m_step(groups: _Groups, gamma, weighted, mass) -> tuple[np.ndarray, np.ndar
     return locations, np.einsum("ij,ij->j", gamma, spread) / mass
 
 
-def em_fit(xs: np.ndarray, cfg: EMConfig, iteration_hook: IterationHook | None = None) -> MixtureState:
+def em_fit(xs: np.ndarray, cfg: EMConfig) -> MixtureState:
     """Fit the self-pruning Gaussian mixture to a numeric sample.
 
     Parameters
@@ -217,11 +215,7 @@ def em_fit(xs: np.ndarray, cfg: EMConfig, iteration_hook: IterationHook | None =
     xs : array of float
         The column values. At least two distinct values are required.
     cfg : EMConfig
-    iteration_hook : callable, optional
-        Called as hook(iteration, weights, responsibilities) after every
-        iteration, with copies. The responsibilities are the G x k
-        matrix of the groups', which for a sample of at most ``GROUPS``
-        values are the rows'. Intended for tests and diagnostics.
+        Its seed draws the start: one uniform G x k matrix, row-normalized.
 
     Returns
     -------
@@ -297,8 +291,6 @@ def em_fit(xs: np.ndarray, cfg: EMConfig, iteration_hook: IterationHook | None =
             raise DegenerateSampleError(_OUT_OF_RANGE)
 
         ll = _e_step(groups, locations, bandwidths, weights, gamma)
-        if iteration_hook is not None:
-            iteration_hook(it, weights.copy(), gamma.copy())
 
         if prev_ll is not None and not dropped:
             rel = (ll - prev_ll) / max(abs(prev_ll), 1e-300)
@@ -321,8 +313,9 @@ def natural_interval(xs: np.ndarray, o_value: float, state: MixtureState) -> tup
     The run ends, on each side, just before the nearest group of another
     component, and spans the smallest to the largest value of the groups
     inside it. Equal values share a group, so every row inside the
-    interval has o_value's component. xs must be the sample the state was
-    fitted on; it is read only to check its size and that it holds o_value.
+    interval has o_value's component, and a zero bound is 0.0. xs must
+    be the sample the state was fitted on; it is read only to check its
+    size and that it holds o_value.
     """
     x = np.asarray(xs, dtype=np.float64)
     if x.size != state.rows:
@@ -335,4 +328,7 @@ def natural_interval(xs: np.ndarray, o_value: float, state: MixtureState) -> tup
     lo_cut = np.max(highs, where=other & (highs < value), initial=-np.inf)
     hi_cut = np.min(lows, where=other & (lows > value), initial=np.inf)
     inside = (lows > lo_cut) & (highs < hi_cut)
-    return float(np.min(lows, where=inside, initial=np.inf)), float(np.max(highs, where=inside, initial=-np.inf))
+    lo = np.min(lows, where=inside, initial=np.inf)
+    hi = np.max(highs, where=inside, initial=-np.inf)
+    # np.sort leaves open which zero sits at a group's edge; + 0.0 makes either 0.0
+    return float(lo + 0.0), float(hi + 0.0)

@@ -1,8 +1,11 @@
 """Shared builders for randomized test datasets and mining instances."""
 
-import numpy as np
+import contextlib
 
-from outprop import CATEGORICAL, NUMERIC, Dataset, EMConfig, MiningConfig
+import numpy as np
+import pytest
+
+from outprop import CATEGORICAL, NUMERIC, Dataset, EMConfig, MiningConfig, intervals
 
 TOKENS = ("ant", "bee", "cat", "dog", "elk")
 
@@ -15,6 +18,25 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance summary")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@contextlib.contextmanager
+def watch_e_steps(check):
+    """Run check(weights, responsibilities) after each E-step of the fits inside.
+
+    check gets copies; the responsibilities are the G x k matrix of the
+    groups, which for a sample of at most ``GROUPS`` values are the rows'.
+    """
+    e_step = intervals._e_step
+
+    def spy(groups, locations, bandwidths, weights, gamma):
+        ll = e_step(groups, locations, bandwidths, weights, gamma)
+        check(weights.copy(), gamma.copy())
+        return ll
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(intervals, "_e_step", spy)
+        yield
 
 
 def numeric_column(rng, n):

@@ -360,7 +360,7 @@ def test_criterion_5f_em_invariants_every_iteration():
             continue
         counts = []
 
-        def hook(iteration, weights, gamma):
+        def check(weights, gamma):
             nonlocal iterations
             iterations += 1
             counts.append(weights.size)
@@ -368,7 +368,8 @@ def test_criterion_5f_em_invariants_every_iteration():
             assert np.all(weights >= 0.0)
             assert np.max(np.abs(gamma.sum(axis=1) - 1.0)) <= 1e-9
 
-        state = em_fit(xs, EMConfig(seed=fit_index), iteration_hook=hook)
+        with conftest.watch_e_steps(check):
+            state = em_fit(xs, EMConfig(seed=fit_index))
         assert all(a >= b for a, b in zip(counts, counts[1:]))
         assert state.components >= 1
         assert np.all(state.bandwidths > 0.0)

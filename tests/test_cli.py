@@ -455,25 +455,18 @@ def test_schema_file_may_start_with_a_bom(tmp_path, capsys):
     assert "support: 0.3333333333333333" in out
 
 
-def test_seed_env_variable_sets_the_default(monkeypatch):
-    monkeypatch.setenv("OUTPROP_SEED", "42")
-    args = build_parser().parse_args(["mine", "--data", "d.csv", "--outlier", "0", "--omega", "0.5"])
-    assert args.seed == 42
-    monkeypatch.delenv("OUTPROP_SEED")
-    args = build_parser().parse_args(["mine", "--data", "d.csv", "--outlier", "0", "--omega", "0.5"])
-    assert args.seed == 0
-
-
-def test_malformed_seed_env_variable_is_a_usage_error(monkeypatch, capsys):
-    mine_args = ["mine", "--data", "d.csv", "--outlier", "0", "--omega", "0.5"]
-    for value in ("abc", "-1"):
+def test_mine_reads_no_seed_from_the_environment(tmp_path, monkeypatch):
+    # the seed comes from --seed alone, default 0
+    data = gen_benchmark(tmp_path, size=120)
+    argv = ["mine", "--data", str(data), "--outlier", "119", "--omega", "0.5", "--kmax", "2", "--out"]
+    assert run(argv + [str(tmp_path / "plain.jsonl")]) == 0
+    expected = (tmp_path / "plain.jsonl").read_bytes()
+    assert b'"seed":0' in expected
+    for value in ("42", "abc"):
         monkeypatch.setenv("OUTPROP_SEED", value)
-        with pytest.raises(SystemExit) as err:
-            run(mine_args)
-        assert err.value.code == 2
-        assert "OUTPROP_SEED" in capsys.readouterr().err
-    # an explicit --seed does not read the environment
-    assert build_parser().parse_args(mine_args + ["--seed", "5"]).seed == 5
+        out = tmp_path / f"{value}.jsonl"
+        assert run(argv + [str(out)]) == 0
+        assert out.read_bytes() == expected
 
 
 def test_negative_seed_is_a_usage_error(tmp_path, capsys):

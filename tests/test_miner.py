@@ -1,5 +1,7 @@
 """Level-wise search for minimal explanation-property pairs."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from outprop import (
     outlierness,
     select,
 )
+from outprop.cli import _condition_record
 from outprop.dataset import condition_mask
 from outprop.errors import ConfigError
 from outprop.miner import _next_level
@@ -86,6 +89,20 @@ def test_categorical_natural_condition():
     assert cond.value == "q"
     assert cond.attribute == 0
     assert reports == []
+
+
+def test_a_none_token_is_an_equality_condition():
+    db = Dataset.from_arrays(["c", "x"], [CATEGORICAL, NUMERIC], [[None] + ["a"] * 9, np.arange(10.0)])
+    cfg = MiningConfig(outlier_index=0, min_support=0.0, min_score=0.0)
+    cond = mine(db, cfg).conditions[0]
+    assert cond == Condition.equality(0, None)
+    assert not cond.is_interval
+    assert json.dumps(_condition_record(db, cond)) == '{"attribute": "c", "value": null}'
+    explanation = Explanation.of(cond)
+    evaluation = explain_one(db, cfg, explanation, 1)
+    assert evaluation.support == 0.1
+    again = outlierness(select(db, explanation), db.schema[1], 0)
+    assert (evaluation.score.value, evaluation.score.raw) == (again.value, again.raw)
 
 
 def test_mine_finds_the_planted_pair():

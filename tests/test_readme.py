@@ -35,7 +35,6 @@ def test_library_example_prints_its_comment():
 
 def test_console_examples_print_what_the_readme_shows(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("OUTPROP_SEED", raising=False)
     # (argv, the lines the README shows under it), in the README's order
     steps = []
     for block in _blocks("console"):
