@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import os
 import re
@@ -146,6 +147,7 @@ def _cmd_mine(args) -> int:
         _write_curves(db, result, args.curves)
     print(
         f"pairs: {len(result.pairs)}  "
+        f"skipped by bound: {result.bound_skips}  "
         f"condition building: {result.condition_seconds:.3f} s  "
         f"outlierness computation: {result.scoring_seconds:.3f} s",
         file=sys.stderr,
@@ -285,6 +287,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand on argv (default ``sys.argv[1:]``); the exit code.
+
+    It first moves every object the collector tracks, numpy's and outprop's
+    import-time objects among them, into ``gc.freeze``'s permanent
+    generation, so neither the run's full collections nor the one at
+    interpreter exit scan them again. For a caller in the same process:
+    reference counting still frees a frozen object, but cyclic garbage that
+    exists at the call is kept until the process exits.
+    """
+    gc.freeze()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -15,10 +15,12 @@ are packed once into a d x W matrix, and a level of one property is its
 candidates' keys, an L x W bit matrix and their support counts. The
 Apriori key logic runs in Python; the level's joins are then one AND of
 gathered frontier and condition rows, its supports one popcount, and its
-scores one call of ``outlierness._score_masks`` on the level's bits. An
-``Explanation`` is built only for a reported pair. ``explain_one`` scores
-its selection through ``outlierness``, which packs the selection's mask
-and runs the same kernel.
+scores one call of ``scoring._score_masks`` on the level's bits. That call
+gets the floor ``scoring.raw_floor`` of ``min_score``: a numeric candidate
+proven to score below it is not scored, and stays in the frontier as a
+failing one. An ``Explanation`` is built only for a reported pair.
+``explain_one`` scores its selection through ``outlierness``, which packs
+the selection's mask and runs the same kernel, always exactly.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .dataset import (
 )
 from .errors import ConfigError, DegenerateSampleError
 from .intervals import EMConfig, em_fit, natural_interval
-from .scoring import OutliernessScore, _pack_rows, _score_masks, omega, outlierness
+from .scoring import OutliernessScore, _pack_rows, _score_masks, omega, outlierness, raw_floor
 
 
 @dataclass(frozen=True)
@@ -100,13 +102,18 @@ class IntervalReport:
 
 @dataclass(eq=False)
 class MiningResult:
-    """Mined pairs plus the condition vocabulary and phase timings."""
+    """Mined pairs plus the condition vocabulary, phase timings and skips.
+
+    bound_skips counts the numeric candidates whose raw score was proven
+    below the floor of ``min_score`` and so never computed.
+    """
 
     pairs: list[ExplanationPropertyPair]
     conditions: dict[int, Condition]
     interval_reports: list[IntervalReport]
     condition_seconds: float
     scoring_seconds: float
+    bound_skips: int
 
 
 def _check_config(db: Dataset, cfg: MiningConfig) -> None:
@@ -234,6 +241,8 @@ def mine(db: Dataset, cfg: MiningConfig) -> MiningResult:
     # than n_attributes - 1 of them
     max_size = min(cfg.max_conditions, db.n_attributes - 1)
     pairs: list[ExplanationPropertyPair] = []
+    floor = raw_floor(cfg.min_score)
+    bound_skips = 0
 
     t1 = time.perf_counter()
     for prop in db.schema:
@@ -244,9 +253,15 @@ def mine(db: Dataset, cfg: MiningConfig) -> MiningResult:
         supports = np.array([n])
         size = 0  # conditions per candidate of the level
         while keys:
-            scores = _score_masks(db, prop, cfg.outlier_index, bits)
+            scores = _score_masks(db, prop, cfg.outlier_index, bits, floor)
             frontier: list[int] = []
-            for i, (key, count, (raw, density)) in enumerate(zip(keys, supports, scores)):
+            for i, (key, count, scored) in enumerate(zip(keys, supports, scores)):
+                if scored is None:
+                    # proven to score below min_score: a failing candidate
+                    bound_skips += 1
+                    frontier.append(i)
+                    continue
+                raw, density = scored
                 value = omega(raw)
                 if value >= cfg.min_score:
                     # reported and never extended: every superset would be non-minimal
@@ -276,6 +291,7 @@ def mine(db: Dataset, cfg: MiningConfig) -> MiningResult:
         interval_reports=reports,
         condition_seconds=condition_seconds,
         scoring_seconds=scoring_seconds,
+        bound_skips=bound_skips,
     )
 
 

@@ -27,11 +27,25 @@ selection gathered in row order and scored by the one scorer of its kind,
 ``density.density_curve`` builds G itself when it is wanted. The raw
 difference is squashed into [0, 1]; negative differences (the value is
 denser than typical) map to 0.
+
+``mine`` passes ``_score_masks`` a floor, ``raw_floor(--omega)``: every raw
+below it has omega(raw) < --omega. A numeric row set is first bounded from
+its selection in row order and its width h, without a sort. With c the
+row counts in bins of width w = h/7.9, two rows in each other's window lie
+at most 4 bins apart, so P <= sum_b c_b * sum_{|k|<=4} c_{b+k}; the bins
+that lie wholly within 3.9 bins of the queried value hold only rows of its
+window, so their count is at most c_o. The bound is the closed form of
+those two integers, rounded once like the exact raw and so never below it.
+A row set whose bound is below the floor is not scored (``_window_bound``
+states where the bound is proven and where the exact score is taken).
+``outlierness`` passes no floor and always scores exactly.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +75,21 @@ def omega(x: float) -> float:
         return 0.0
     e = math.exp(-x)
     return (1.0 - e) / (1.0 + e)
+
+
+def raw_floor(min_score: float) -> float:
+    """A raw score below which omega stays below min_score.
+
+    omega(x) is tanh(x / 2) with under 2**-50 of rounding. The floor is
+    where tanh(x / 2) = min_score - 2**-48, and its own rounding moves that
+    tanh by under 2**-52, so every raw below the floor has omega(raw) <
+    min_score. It is -inf at min_score 0, which every score reaches, and
+    about 34 at min_score 1, below the raw of 37.4 at which omega reaches
+    exactly 1.0.
+    """
+    if min_score == 0.0:
+        return -math.inf
+    return 2.0 * math.atanh(max(min_score - 2.0**-48, 0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,20 +143,52 @@ def _closed_form(pairs: int, own: int, n: int, scale: float) -> tuple[float, flo
     return (pairs - n * own) / (n * scale), own / scale
 
 
-def _window_score(col: np.ndarray, v: float) -> tuple[float, float]:
+def _window_score(col: np.ndarray, v: float, floor: float = -math.inf) -> tuple[float, float] | None:
     """(raw, query density) of value v against a numeric sample in row order.
 
     A sample with a single distinct value carries no contrast: raw 0.0 and
-    query density 1.0.
+    query density 1.0. None when ``_window_bound`` proves raw below floor.
     """
+    if floor > -math.inf:
+        h = dens.global_bandwidth(col)
+        if h != dens.DEGENERATE_BANDWIDTH and _window_bound(col, float(v), h) < floor:
+            return None
     model = dens.fit_numeric(col)
     h, xs = model.bandwidth, model.sorted_values
     if h == dens.DEGENERATE_BANDWIDTH:
         return 0.0, 1.0
     m = xs.size
-    pairs = 2 * int(np.searchsorted(xs, xs + h / 2.0, side="right").sum()) - m * m
-    own = int(dens.window_counts(xs, float(v), h))
+    # fl(x + h/2) for each row: the rule of ``density.window_counts``
+    keys = xs + h / 2.0
+    pairs = 2 * int(np.searchsorted(xs, keys, side="right").sum()) - m * m
+    own = int(np.searchsorted(xs, v + h / 2.0, side="right") - np.searchsorted(keys, v, side="left"))
     return _closed_form(pairs, own, m, m * h)
+
+
+def _window_bound(col: np.ndarray, v: float, h: float) -> float:
+    """An upper bound on the raw window score of v, a value of col, against col.
+
+    col is a sample in row order and h its window width, not the degenerate
+    one. Rows go to bins of width w = fl(h/7.9), bin floor(fl(fl(x - min)/w)).
+    The proof needs w normal, fewer bins than rows (max - min < m*w, with m
+    below 2**40) and every |x| below 2**40 w; then each rounding, the window
+    rule's fl(x + h/2) included, moves a row by under 2**-10 bins. Two rows in each
+    other's window are at most h/2 = 3.95 bins apart, so their bins differ
+    by at most 4; a row in a bin that lies wholly within 3.9 bins of v is
+    under 0.494 h from v, which fl(v + h/2) and fl(x + h/2) cannot round
+    away. Where the proof does not hold, the bound is +inf.
+    """
+    m = col.size
+    lo, hi = float(col.min()), float(col.max())
+    w = h / 7.9
+    if not (w >= sys.float_info.min and hi - lo < m * w and max(-lo, hi) < w * 2.0**40):
+        return math.inf
+    counts = np.bincount(((col - lo) / w).astype(np.intp))
+    # entry b + 4 of the full convolution: the rows of bins b - 4 to b + 4
+    near = np.convolve(counts, np.ones(9, dtype=np.intp))[4:-4]
+    t = (v - lo) / w
+    own = counts[max(math.ceil(t - 3.9), 0) : math.floor(t + 2.9) + 1].sum()
+    return _closed_form(int(counts @ near), int(own), m, m * h)[0]
 
 
 def _token_score(codes: np.ndarray, code: int) -> tuple[float, float]:
@@ -149,8 +210,8 @@ def _pack_rows(masks: np.ndarray) -> np.ndarray:
 
 
 def _score_masks(
-    db: Dataset, attribute: Attribute, outlier_index: int, bits: np.ndarray
-) -> list[tuple[float, float]]:
+    db: Dataset, attribute: Attribute, outlier_index: int, bits: np.ndarray, floor: float = -math.inf
+) -> list[tuple[float, float] | None]:
     """(raw, query density) of the designated row against each packed row set.
 
     The search kernel behind ``miner.mine`` and ``outlierness``. bits is an
@@ -161,13 +222,14 @@ def _score_masks(
     A categorical property of at most ``TOKEN_POPCOUNT_MAX`` tokens is
     counted with ``_token_popcounts``. Any other property unpacks each row
     set, gathers its selection in row order and scores it with the scorer
-    of its kind.
+    of its kind. A numeric row set whose raw is proven below floor gets
+    None instead of a score; categorical ones are always scored.
     """
     n = db.n_rows
     if not 0 <= outlier_index < n or not np.all(bits[:, outlier_index >> 6] >> (outlier_index & 63) & 1):
         raise PreconditionError(f"row {outlier_index} is not in the selection")
     if attribute.kind == NUMERIC:
-        col, score = db.columns[attribute.index], _window_score
+        col, score = db.columns[attribute.index], functools.partial(_window_score, floor=floor)
     elif db.codes[attribute.index].max() >= TOKEN_POPCOUNT_MAX:
         col, score = db.codes[attribute.index], _token_score
     else:

@@ -238,7 +238,35 @@ def test_mine_stdout_equals_file_output(tmp_path, capsys):
     assert "outlierness computation" in captured.err
 
 
+def test_mine_summary_line_counts_the_scores_the_bound_skipped(tmp_path, capsys):
+    data = gen_benchmark(tmp_path, size=400, seed=1)
+    assert run(["mine", "--data", str(data), "--outlier", "399", "--omega", "0.2",
+                "--seed", "1", "--kmax", "2", "--out", str(tmp_path / "r.jsonl")]) == 0
+    with open(data, encoding="utf-8") as fh:
+        db = parse_csv(fh)
+    skips = outprop.mine(db, MiningConfig(outlier_index=399, min_score=0.2, max_conditions=2,
+                                          em=outprop.EMConfig(seed=1))).bound_skips
+    assert skips > 0
+    assert f"  skipped by bound: {skips}  " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_freezes_the_collector_s_objects_and_keeps_it_on_or_off(tmp_path, enabled):
+    data = gen_benchmark(tmp_path, size=120)
+    probe = (
+        "import gc\n"
+        "from outprop.cli import main\n"
+        f"{'gc.enable()' if enabled else 'gc.disable()'}\n"
+        "before = gc.isenabled()\n"
+        f"code = main(['mine', '--data', {str(data)!r}, '--outlier', '119', '--omega', '0.5', "
+        f"'--out', {str(tmp_path / 'r.jsonl')!r}])\n"
+        "print(code, gc.get_freeze_count() > 0, gc.isenabled() == before)\n"
+    )
+    assert probe_output(probe) == "0 True True"
+
+
 def test_mine_reports_are_byte_identical(tmp_path):
+    # two main calls in one process: the second freezes the first's objects
     data = gen_benchmark(tmp_path, size=150, seed=6)
     outs = []
     for name in ("a.jsonl", "b.jsonl"):

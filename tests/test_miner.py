@@ -21,12 +21,13 @@ from outprop import (
 )
 from outprop.cli import _condition_record
 from outprop.dataset import condition_mask
+from outprop import miner, scoring
 from outprop.errors import ConfigError
 from outprop.miner import _next_level
 from outprop.oracle import exhaustive_mine
 from outprop.scoring import _pack_rows
 
-from conftest import random_instance
+from conftest import random_dataset, random_instance
 
 
 def toy_db(seed=21):
@@ -222,6 +223,66 @@ def test_matches_exhaustive_enumeration():
         for key, pair in fast.items():
             assert pair.score.value == pytest.approx(slow[key].score, abs=1e-9)
             assert pair.support == pytest.approx(slow[key].support, abs=1e-12)
+
+
+@pytest.mark.parametrize("min_score", [0.0, 0.35, 0.5, 0.9, 1.0])
+def test_numeric_scores_skipped_by_the_bound_keep_the_exhaustive_pairs(min_score):
+    skipped = 0
+    for seed in range(3000, 3012):
+        # numeric-heavy, and large enough for row sets the bound holds on
+        db, rng = random_dataset(seed, min_rows=150, max_rows=300, categorical_share=0.1)
+        cfg = MiningConfig(
+            outlier_index=int(rng.integers(db.n_rows)),
+            min_support=float(rng.uniform(0.0, 0.3)),
+            min_score=min_score,
+            max_conditions=3,
+            em=EMConfig(seed=(seed, 977)),
+        )
+        result = mine(db, cfg)
+        fast = {(p.explanation.attributes, p.property.index): p.score.value for p in result.pairs}
+        slow = {(frozenset(p.explanation_attributes), p.property_index): p.score for p in exhaustive_mine(db, cfg)}
+        assert set(fast) == set(slow), f"pair sets differ on instance seed {seed}"
+        for key, value in fast.items():
+            assert value == pytest.approx(slow[key], abs=1e-9)
+        skipped += result.bound_skips
+    assert (skipped > 0) == (min_score > 0.0)
+
+
+def test_a_pair_scoring_exactly_one_is_found_at_omega_one():
+    # an isolated value among 335 equal ones: raw about 110, omega exactly 1.0
+    values = np.full(336, 1.0)
+    values[222] = 0.5
+    noise = np.random.default_rng(8).normal(0.0, 1.0, 336)
+    db = Dataset.from_arrays(["a", "u"], [NUMERIC, NUMERIC], [values, noise])
+    cfg = MiningConfig(outlier_index=222, min_support=0.2, min_score=1.0, max_conditions=1)
+    result = mine(db, cfg)
+    assert [(p.property.name, p.score.value) for p in result.pairs if not p.explanation.attributes] == [("a", 1.0)]
+    slow = {(frozenset(p.explanation_attributes), p.property_index) for p in exhaustive_mine(db, cfg)}
+    assert {(p.explanation.attributes, p.property.index) for p in result.pairs} == slow
+
+
+def test_bound_skips_are_the_numeric_row_sets_not_scored_exactly(monkeypatch):
+    db, rng = random_dataset(3001, min_rows=300, max_rows=300, categorical_share=0.1)
+    cfg = MiningConfig(outlier_index=7, min_support=0.05, min_score=0.5, max_conditions=3)
+    row_sets, exact = [0], [0]
+    score_masks, window_score = miner._score_masks, scoring._window_score
+
+    def counted_masks(db, attribute, outlier_index, bits, floor):
+        if attribute.kind == NUMERIC:
+            row_sets[0] += bits.shape[0]
+        return score_masks(db, attribute, outlier_index, bits, floor)
+
+    def counted_score(col, v, floor=-np.inf):
+        scored = window_score(col, v, floor)
+        exact[0] += scored is not None
+        return scored
+
+    monkeypatch.setattr(miner, "_score_masks", counted_masks)
+    monkeypatch.setattr(scoring, "_window_score", counted_score)
+    first = mine(db, cfg)
+    assert first.bound_skips > 0
+    assert first.bound_skips == row_sets[0] - exact[0]
+    assert mine(db, cfg).bound_skips == first.bound_skips
 
 
 def test_explain_one_matches_mine_for_the_empty_explanation():

@@ -399,3 +399,81 @@ def test_conditioning_reveals_a_hidden_outlier():
     # a row outside the selection cannot be scored against it
     with pytest.raises(PreconditionError):
         outlierness(view, db.schema[1], 70)
+
+
+# samples the bound's proof must hold on: ties, integer values, signed
+# zeros, one isolated value, two distinct values, and a large magnitude
+# with a spread near its rounding. The bound is proven only with fewer
+# bins than rows, so most samples hold hundreds of rows, drawn from a seed.
+def _seeded(draw):
+    return st.tuples(st.integers(1, 600), st.integers(0, 2**32 - 1)).map(
+        lambda a: list(map(float, draw(np.random.default_rng(a[1]), a[0])))
+    )
+
+
+_BOUND_SAMPLES = {
+    "tenths": _seeded(lambda rng, n: rng.integers(-30, 31, n) / 10),
+    "small tenths": st.lists(_TENTHS, min_size=1, max_size=40),
+    "integers": _seeded(lambda rng, n: rng.integers(0, 5, n)),
+    "signed zeros": _seeded(lambda rng, n: rng.choice([0.0, -0.0, 0.5, -0.5], n)),
+    "one isolated": st.tuples(_seeded(lambda rng, n: rng.normal(0.0, 0.1, n)), st.floats(-1e3, 1e3)).map(
+        lambda a: a[0] + [a[1]]
+    ),
+    "two values": st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.integers(1, 300), st.integers(1, 300)).map(
+        lambda a: [a[0]] * a[2] + [a[1]] * a[3]
+    ),
+    "normal": _seeded(lambda rng, n: rng.normal(0.0, 1.0, n)),
+    "large magnitude": _seeded(lambda rng, n: 1e3 + 1e-6 * rng.normal(size=n)),
+    "huge magnitude": _seeded(lambda rng, n: 1e6 + 1e-6 * rng.normal(size=n)),
+}
+
+
+@given(kind=st.sampled_from(sorted(_BOUND_SAMPLES)), data=st.data())
+@settings(max_examples=400, deadline=None)
+def test_window_bound_is_at_least_the_exact_raw_and_skips_only_failing_scores(kind, data):
+    col = np.array(data.draw(_BOUND_SAMPLES[kind], label="sample"))
+    v = col[data.draw(st.integers(0, col.size - 1), label="row")]
+    raw, density = _window_score(col, v)
+    h = fit_numeric(col).bandwidth
+    if h > 0.0:
+        assert scoring._window_bound(col, float(v), h) >= raw
+    # the sample's own score is a threshold it must reach, unskipped
+    min_score = data.draw(st.sampled_from([0.0, 0.35, 0.5, 0.9, 1.0, omega(raw)]) | st.floats(0.0, 1.0), label="omega")
+    floored = _window_score(col, v, scoring.raw_floor(min_score))
+    if floored is None:
+        assert omega(raw) < min_score
+    else:
+        assert floored == (raw, density)
+
+
+def test_window_bound_holds_where_its_proof_does_and_is_inf_elsewhere():
+    rng = np.random.default_rng(5)
+    col = rng.normal(0.0, 1.0, 500)
+    h = fit_numeric(col).bandwidth
+    assert scoring._window_bound(col, float(col[0]), h) < math.inf
+    # |x| above 2**40 bins, and more bins than rows
+    huge = 1e6 + 1e-6 * rng.normal(size=500)
+    assert scoring._window_bound(huge, float(huge[0]), fit_numeric(huge).bandwidth) == math.inf
+    spread = np.array([0.0, 0.0, 0.0, 1e6])
+    assert scoring._window_bound(spread, 0.0, fit_numeric(spread).bandwidth) == math.inf
+
+
+@given(st.floats(0.0, 1.0) | st.sampled_from([2.0**-48, 2.0**-47, 0.5, 1.0 - 2.0**-53, 1.0]))
+@settings(max_examples=300, deadline=None)
+def test_every_raw_below_the_floor_scores_below_the_threshold(min_score):
+    floor = scoring.raw_floor(min_score)
+    if min_score == 0.0:
+        assert floor == -math.inf
+        return
+    assert math.isfinite(floor)
+    below = [math.nextafter(floor, -math.inf), floor * (1 - 1e-9), floor - 1e-6, floor / 2.0, -1.0]
+    assert all(omega(x) < min_score for x in below)
+    # the floor gives up little, except where its margin of 2**-48 is a
+    # large part of 1 - min_score
+    if min_score < 1.0 - 2.0**-30:
+        assert 2.0 * math.atanh(min_score) - floor <= 1e-6 * max(1.0, floor)
+
+
+def test_the_floor_of_one_lies_below_the_raws_that_score_exactly_one():
+    floor = scoring.raw_floor(1.0)
+    assert floor < 37.0 and omega(37.5) == 1.0
